@@ -9,8 +9,8 @@
 //
 // Closed-loop means throughput is what the server actually sustains with
 // -conns concurrent clients (each waits for its answer before sending the
-// next request), so the numbers compose directly with the serve layer's
-// micro-batching: more connections → fuller coalescer batches → higher QPS.
+// next request): the server scores each request on its own goroutine, so QPS
+// grows with -conns until the server's cores saturate.
 //
 // The target's shape is discovered from /healthz; request indices are drawn
 // uniformly from the advertised dims with a deterministic seed, so two runs

@@ -160,7 +160,7 @@ func TestMultiTenantSmoke(t *testing.T) {
 
 	reg, err := serve.NewRegistry(serve.RegistryOptions{
 		ModelsDir: dir,
-		Base:      serve.Options{MaxBatch: 32, Mmap: true},
+		Base:      serve.Options{Mmap: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +264,8 @@ func TestMultiTenantSmoke(t *testing.T) {
 		rep.Requests, rep.DurationSec, rep.QPS, len(names))
 }
 
-// TestLoadgenSmoke is the CI end-to-end gate: a sharded server over a tiny
-// model takes mixed closed-loop load for the smoke window and must answer
+// TestLoadgenSmoke is the CI end-to-end gate: a server over a tiny model
+// takes mixed closed-loop load for the smoke window and must answer
 // every request (zero errors, non-zero QPS). CI runs it for 30s via
 // LOADGEN_SMOKE_DURATION; the default keeps local `go test` fast.
 func TestLoadgenSmoke(t *testing.T) {
@@ -278,7 +278,7 @@ func TestLoadgenSmoke(t *testing.T) {
 		d = parsed
 	}
 
-	s, err := serve.New(serve.Options{Model: tinyModel(t), MaxBatch: 32, Shards: 2})
+	s, err := serve.New(serve.Options{Model: tinyModel(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +333,9 @@ func TestLoadgenSmoke(t *testing.T) {
 		}
 	}
 	// The server side of the same story: /metrics must parse clean and carry
-	// the per-endpoint duration, coalescer, and runtime histogram families.
+	// the per-endpoint duration histogram and the runtime families.
 	scrapeMetrics(t, ts.URL,
 		"ptucker_request_duration_seconds",
-		"ptucker_coalescer_flush_size",
-		"ptucker_coalescer_flush_duration_seconds",
 		"ptucker_refit_state",
 		"ptucker_goroutines",
 		"ptucker_gc_pause_seconds_total")
@@ -365,8 +363,6 @@ func TestReplicationSmoke(t *testing.T) {
 	const token = "smoke-token"
 	primary, err := serve.New(serve.Options{
 		Model:     tinyModel(t),
-		MaxBatch:  32,
-		Shards:    2,
 		DataDir:   t.TempDir(),
 		AuthToken: token,
 	})
@@ -380,8 +376,6 @@ func TestReplicationSmoke(t *testing.T) {
 	follower, err := serve.New(serve.Options{
 		Follow:    pts.URL,
 		AuthToken: token,
-		MaxBatch:  32,
-		Shards:    2,
 		PollWait:  200 * time.Millisecond,
 	})
 	if err != nil {
@@ -441,7 +435,6 @@ func TestReplicationSmoke(t *testing.T) {
 	// records by now) carries the apply-latency histogram.
 	scrapeMetrics(t, pts.URL,
 		"ptucker_request_duration_seconds",
-		"ptucker_coalescer_flush_size",
 		"ptucker_journal_append_duration_seconds",
 		"ptucker_journal_fsync_duration_seconds")
 	scrapeMetrics(t, fts.URL,

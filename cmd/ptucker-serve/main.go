@@ -12,10 +12,8 @@
 // observations and folds brand-new indices in as fresh factor rows, and
 // -refit-after N triggers a background warm refit every N observations.
 //
-// Concurrent /v1/predict calls are micro-batched by -shards parallel
-// dispatcher shards (default: scaled from GOMAXPROCS), each coalescing up to
-// -max-batch queued predictions into one batched kernel pass; /metrics
-// reports per-shard flush and occupancy counters.
+// Each /v1/predict call is scored on its own request goroutine; -workers sets
+// the fan-out inside a /v1/predict-batch request.
 //
 // With -data-dir the process is durable: every accepted observe batch is
 // journaled (fsync policy: -journal-sync) before it is applied, the journal
@@ -39,9 +37,9 @@
 // echoed on the response and logged on the access line; -slow-request D
 // escalates requests slower than D to warn level; -pprof mounts
 // net/http/pprof under /debug/pprof/, guarded by -auth-token when set.
-// /metrics exposes per-endpoint latency histograms, coalescer flush
-// histograms, journal fsync/append latency, refit state gauges, and runtime
-// gauges — see the README's Observability section for the full reference.
+// /metrics exposes per-endpoint latency histograms, journal fsync/append
+// latency, refit state gauges, and runtime gauges — see the README's
+// Observability section for the full reference.
 //
 // With -models-dir the process serves many named models at once: every
 // subdirectory holding a model.ptkm becomes a durable tenant (the
@@ -102,8 +100,6 @@ func main() {
 		model       = flag.String("model", "", "saved model file to serve (required)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "PredictBatch worker goroutines (0 = GOMAXPROCS)")
-		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max single predictions coalesced into one batch (1 disables)")
-		shards      = flag.Int("shards", 0, "coalescer dispatcher shards, each with its own queue and flush loop (0 = auto from GOMAXPROCS)")
 		refitAfter  = flag.Int("refit-after", 0, "background warm refit after this many /v1/observe observations (0 disables)")
 		sparsify    = flag.Float64("sparsify", 0, "prune refit results' core entries within this relative error budget (0 keeps the model's own setting; checked on -holdout when set)")
 		maxBody     = flag.Int64("max-body", serve.DefaultMaxBody, "max request body bytes on /v1/* (larger bodies get 413; <0 disables)")
@@ -201,8 +197,6 @@ func main() {
 		Follow:       *follow,
 		MaxLag:       *maxLag,
 		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		Shards:       *shards,
 		RefitAfter:   *refitAfter,
 		Sparsify:     *sparsify,
 		MaxBodyBytes: *maxBody,
@@ -304,15 +298,15 @@ func main() {
 		source = "models dir " + *modelsDir
 	}
 	logger.Info("serving", "source", source, "addr", *addr,
-		"workers", *workers, "max_batch", *maxBatch, "mmap", *mmapOn, "pprof", *pprofOn)
+		"workers", *workers, "mmap", *mmapOn, "pprof", *pprofOn)
 	err = httpSrv.ListenAndServe()
 	if !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listener failed", "error", err)
 		os.Exit(1)
 	}
 	// ListenAndServe returns the moment Shutdown begins; wait for the drain
-	// to finish, then stop the coalescer — no handler is mid-submit when
-	// queued work is failed with ErrServerClosed.
+	// to finish before closing the server, so no handler still reads a
+	// snapshot when the journal closes and the model files are unmapped.
 	<-shutdownDone
 	closeFn()
 	logger.Info("bye")

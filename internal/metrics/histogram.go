@@ -58,7 +58,7 @@ func ExponentialBounds(start, factor float64, n int) []float64 {
 }
 
 // DefaultDurationBounds spans 10µs to ~1.3s in doubling buckets — wide
-// enough for both sub-millisecond coalescer flushes and multi-hundred-ms
+// enough for both sub-millisecond predictions and multi-hundred-ms
 // fsyncs; anything slower lands in +Inf and is still counted and summed.
 var DefaultDurationBounds = ExponentialBounds(10e-6, 2, 18)
 

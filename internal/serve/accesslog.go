@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -15,31 +14,9 @@ import (
 // X-Ptucker-Request-Id when it is clean, a generated one otherwise — and
 // echoes it on the response, (2) records the request's wall-clock duration
 // in the per-endpoint histogram, (3) emits a Debug access-log line carrying
-// endpoint, method, status, duration, remote address, and (for coalesced
-// predictions) the dispatcher shard, and (4) escalates the line to Warn
-// with the same detail when the request ran past Options.SlowRequest.
-
-// requestMeta is per-request detail the inner handlers fill in and the
-// access-log middleware reads after the handler returns. Fields are atomic
-// because a timed-out handler keeps running on its own goroutine (see
-// withTimeout) and may still be writing when the middleware reads.
-type requestMeta struct {
-	coalesced atomic.Bool
-	shard     atomic.Int64
-}
-
-// metaKey carries a *requestMeta through the request context.
-type metaKey struct{}
-
-// noteCoalesced records that the request was answered through coalescer
-// shard id; a no-op for contexts without instrumentation (direct predict
-// calls in tests and benchmarks).
-func noteCoalesced(ctx context.Context, shard int) {
-	if meta, ok := ctx.Value(metaKey{}).(*requestMeta); ok {
-		meta.shard.Store(int64(shard))
-		meta.coalesced.Store(true)
-	}
-}
+// endpoint, method, status, duration, and remote address, and (4) escalates
+// the line to Warn with the same detail when the request ran past
+// Options.SlowRequest.
 
 // statusWriter captures the response status for the access log.
 type statusWriter struct {
@@ -72,9 +49,6 @@ func (s *Server) instrument(endpoint string, h http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set(obs.RequestIDHeader, id)
-		meta := &requestMeta{}
-		meta.shard.Store(-1)
-		r = r.WithContext(context.WithValue(r.Context(), metaKey{}, meta))
 		sw := &statusWriter{ResponseWriter: w}
 		h.ServeHTTP(sw, r)
 		d := time.Since(t0)
@@ -100,9 +74,6 @@ func (s *Server) instrument(endpoint string, h http.Handler) http.Handler {
 			"status", status,
 			"duration", d,
 			"remote", r.RemoteAddr,
-		}
-		if meta.coalesced.Load() {
-			args = append(args, "coalesced", true, "shard", meta.shard.Load())
 		}
 		if slow {
 			args = append(args, "slow_threshold", s.slowReq)

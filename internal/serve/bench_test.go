@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -29,49 +27,11 @@ func benchIndexes(b *testing.B, p *core.Predictor, n int) [][]int {
 	return idxs
 }
 
-// BenchmarkServeCoalescedPredict drives concurrent single predictions
-// through the micro-batching coalescer — the hot path of /v1/predict under
-// load — without HTTP overhead, so the measurement isolates batching.
-// shards=1 is the single-dispatcher baseline; shards=4 shows the sharded
-// dispatchers assembling flushes in parallel (run with -cpu 8 to see the
-// separation on a many-core box).
-func BenchmarkServeCoalescedPredict(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := fitModel(b, 7)
-			s, err := New(Options{Model: m, MaxBatch: 64, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			idxs := benchIndexes(b, core.NewPredictor(m), 1024)
-
-			b.ReportAllocs()
-			// Many more in-flight callers than procs, as a loaded server
-			// sees: queues accumulate during each flush, so batches actually
-			// form and dispatch throughput (not caller wakeup latency) is
-			// what's measured.
-			b.SetParallelism(8)
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := s.coal.predict(context.Background(), idxs[i%len(idxs)]); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.ReportMetric(float64(s.met.coalesced.Load())/float64(max(1, s.met.flushes.Load())), "preds/flush")
-		})
-	}
-}
-
 // BenchmarkServeHTTPPredict measures the full stack: HTTP round trip, JSON
-// decode, coalescer, kernel, JSON encode.
+// decode, kernel, JSON encode.
 func BenchmarkServeHTTPPredict(b *testing.B) {
 	m := fitModel(b, 7)
-	s, err := New(Options{Model: m, MaxBatch: 64})
+	s, err := New(Options{Model: m})
 	if err != nil {
 		b.Fatal(err)
 	}

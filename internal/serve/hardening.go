@@ -14,9 +14,10 @@ import (
 // http.TimeoutHandler's discipline with a JSON error body and a metrics
 // counter. A timeout of zero disables the wrapper.
 //
-// Handlers that honor their request context (the coalesced predict path)
-// stop early; the rest run to completion against the discarded buffer, so a
-// timeout never corrupts server state — it only stops the client's wait.
+// Handlers that honor their request context (observe, which drops a batch
+// whose deadline passed while it waited for the fitter) stop early; the rest
+// run to completion against the discarded buffer, so a timeout never
+// corrupts server state — it only stops the client's wait.
 func (s *Server) withTimeout(h http.HandlerFunc) http.Handler {
 	if s.timeout <= 0 {
 		return h

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -27,10 +26,6 @@ const (
 	refitPublishing
 )
 
-// flushSizeBounds buckets coalescer flush sizes: 1..256 in doublings, which
-// spans a lone idle-server request through DefaultMaxBatch.
-var flushSizeBounds = expo.ExponentialBounds(1, 2, 9)
-
 // metrics holds the server's counters. The zero value is ready to use; the
 // per-endpoint maps are built once on first touch and read-only afterwards,
 // so the hot path is a map lookup plus an atomic add.
@@ -40,8 +35,6 @@ type metrics struct {
 	errs map[string]*atomic.Int64
 
 	predictions  atomic.Int64 // cells scored, all paths
-	flushes      atomic.Int64 // coalescer batches executed
-	coalesced    atomic.Int64 // single predictions served via the coalescer
 	reloads      atomic.Int64 // successful model swaps
 	observations atomic.Int64 // observations accepted via /v1/observe
 	foldIns      atomic.Int64 // new rows folded into the served model
@@ -86,25 +79,6 @@ type metrics struct {
 	journalFsyncDur  *expo.Histogram
 	foldInDur        *expo.Histogram
 	replicaApplyDur  *expo.Histogram
-
-	// Per-shard coalescer counters and histograms, sized by initShards
-	// before the dispatchers start (read-only slice headers afterwards).
-	shardFlushes   []atomic.Int64    // flushes executed, by shard
-	shardCoalesced []atomic.Int64    // predictions coalesced, by shard
-	shardFlushSize []*expo.Histogram // batch size per flush, by shard
-	shardFlushDur  []*expo.Histogram // flush wall-clock seconds, by shard
-}
-
-// initShards sizes the per-shard counters; called once, before serving.
-func (m *metrics) initShards(n int) {
-	m.shardFlushes = make([]atomic.Int64, n)
-	m.shardCoalesced = make([]atomic.Int64, n)
-	m.shardFlushSize = make([]*expo.Histogram, n)
-	m.shardFlushDur = make([]*expo.Histogram, n)
-	for i := 0; i < n; i++ {
-		m.shardFlushSize[i] = expo.NewHistogram(flushSizeBounds)
-		m.shardFlushDur[i] = expo.NewDurationHistogram()
-	}
 }
 
 func (m *metrics) init() {
@@ -146,11 +120,10 @@ func (m *metrics) errors(endpoint string) *atomic.Int64 {
 }
 
 // handler renders the counters in the Prometheus text exposition format,
-// plus gauges describing the current snapshot. depths samples the coalescer
-// shards' queue lengths (nil when coalescing is disabled); repl samples the
-// replication role and progress; mapped samples the bytes of model files
-// served from memory mappings.
-func (m *metrics) handler(snap func() *snapshot, depths func() []int, repl func() replSample, mapped func() int64) http.HandlerFunc {
+// plus gauges describing the current snapshot. repl samples the replication
+// role and progress; mapped samples the bytes of model files served from
+// memory mappings.
+func (m *metrics) handler(snap func() *snapshot, repl func() replSample, mapped func() int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
@@ -159,7 +132,7 @@ func (m *metrics) handler(snap func() *snapshot, depths func() []int, repl func(
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		e := expo.NewExpo(w)
-		m.render(e, snap, depths, repl, mapped)
+		m.render(e, snap, repl, mapped)
 		renderRuntime(e)
 	}
 }
@@ -169,7 +142,7 @@ func (m *metrics) handler(snap func() *snapshot, depths func() []int, repl func(
 // The split is what multi-model serving builds on: a registry renders each
 // tenant through render under its own constant model label, then appends
 // the runtime families once for the whole process (see registry.go).
-func (m *metrics) render(e *expo.Expo, snap func() *snapshot, depths func() []int, repl func() replSample, mapped func() int64) {
+func (m *metrics) render(e *expo.Expo, snap func() *snapshot, repl func() replSample, mapped func() int64) {
 	m.init()
 
 	labels := append([]string(nil), endpoints...)
@@ -192,36 +165,6 @@ func (m *metrics) render(e *expo.Expo, snap func() *snapshot, depths func() []in
 			}
 		})
 	e.Counter("ptucker_predictions_total", "Tensor cells scored across all paths.", m.predictions.Load())
-	e.Counter("ptucker_coalesced_batches_total", "Coalescer flushes executed.", m.flushes.Load())
-	e.Counter("ptucker_coalesced_predictions_total", "Single predictions served through the coalescer.", m.coalesced.Load())
-	if len(m.shardFlushes) > 0 {
-		byShard := func(counters []atomic.Int64) func(func(string, int64)) {
-			return func(sample func(string, int64)) {
-				for i := range counters {
-					sample(strconv.Itoa(i), counters[i].Load())
-				}
-			}
-		}
-		e.CounterVec("ptucker_shard_flushes_total", "Coalescer flushes executed, by dispatcher shard.", "shard", byShard(m.shardFlushes))
-		e.CounterVec("ptucker_shard_coalesced_total", "Single predictions coalesced, by dispatcher shard.", "shard", byShard(m.shardCoalesced))
-		byShardHist := func(hists []*expo.Histogram) func(func(string, *expo.Histogram)) {
-			return func(sample func(string, *expo.Histogram)) {
-				for i := range hists {
-					sample(strconv.Itoa(i), hists[i])
-				}
-			}
-		}
-		e.HistogramVec("ptucker_coalescer_flush_size", "Predictions scored per coalescer flush, by dispatcher shard.", "shard", byShardHist(m.shardFlushSize))
-		e.HistogramVec("ptucker_coalescer_flush_duration_seconds", "Wall-clock seconds per coalescer flush, by dispatcher shard.", "shard", byShardHist(m.shardFlushDur))
-	}
-	if depths != nil {
-		e.GaugeIntVec("ptucker_shard_queue_depth", "Queued predictions awaiting a flush, by dispatcher shard (sampled).", "shard",
-			func(sample func(string, int64)) {
-				for i, d := range depths() {
-					sample(strconv.Itoa(i), int64(d))
-				}
-			})
-	}
 	e.Counter("ptucker_reloads_total", "Successful model reloads.", m.reloads.Load())
 	e.Counter("ptucker_observations_total", "Observations accepted via /v1/observe.", m.observations.Load())
 	e.Counter("ptucker_foldins_total", "New rows folded into the served model.", m.foldIns.Load())

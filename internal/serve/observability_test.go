@@ -182,7 +182,7 @@ func TestSlowRequestWarn(t *testing.T) {
 // reference cannot rot silently.
 func TestReadmeDocumentsMetrics(t *testing.T) {
 	// A primary exercising every conditional family: durable (journal +
-	// replication-primary groups), sharded coalescer, and a holdout set.
+	// replication-primary groups) and a holdout set.
 	rng := rand.New(rand.NewSource(51))
 	hold := tensor.NewCoord([]int{20, 16, 12})
 	for hold.NNZ() < 50 {
@@ -194,7 +194,6 @@ func TestReadmeDocumentsMetrics(t *testing.T) {
 	}
 	_, pts := testServer(t, Options{
 		DataDir:     t.TempDir(),
-		Shards:      2,
 		HoldoutPath: holdPath,
 		Pprof:       true,
 	})

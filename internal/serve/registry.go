@@ -65,8 +65,8 @@ type RegistryOptions struct {
 	MaxMappedBytes int64
 	// Base is the Options template every tenant Server is built from.
 	// ModelPath, Model, DataDir, HoldoutPath, and Follow are overwritten
-	// per tenant; everything else (Workers, MaxBatch, Mmap, AuthToken,
-	// timeouts, logging...) applies to all tenants uniformly.
+	// per tenant; everything else (Workers, Mmap, AuthToken, timeouts,
+	// logging...) applies to all tenants uniformly.
 	Base Options
 }
 
@@ -481,9 +481,5 @@ func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 // per-tenant scrape path. The runtime families are the caller's concern
 // (emitted once per process, not once per tenant).
 func (s *Server) renderMetrics(e *expo.Expo) {
-	var depths func() []int
-	if s.coal != nil {
-		depths = s.coal.queueDepths
-	}
-	s.met.render(e, s.snapshot, depths, s.replSample, s.MappedBytes)
+	s.met.render(e, s.snapshot, s.replSample, s.MappedBytes)
 }

@@ -1,6 +1,6 @@
 // Package serve puts a fitted P-Tucker model behind a socket: an HTTP JSON
 // API over a core.Predictor / core.Recommender pair, with atomic hot model
-// reload and request micro-batching.
+// reload.
 //
 // Endpoints:
 //
@@ -22,13 +22,9 @@
 // non-panicking PredictChecked/ValidateIndex paths — a bad request can not
 // crash the process.
 //
-// Concurrent single predictions are coalesced: /v1/predict submits to one of
-// Options.Shards dispatcher shards (round-robin), each of which drains
-// whatever is queued on it (up to MaxBatch) and scores it with one
-// PredictBatch call — trading nothing on an idle server (a lone request
-// flushes immediately) for fewer, larger kernel passes under load, with up to
-// Shards flushes assembling in parallel so batch assembly never serializes on
-// a single goroutine.
+// /v1/predict scores its cell on the request goroutine. Cells share no work
+// (each is reconstructed from its own factor rows and the core), so single
+// predictions are not batched: concurrency comes from the HTTP server itself.
 //
 // The model also learns online: /v1/observe appends new observations,
 // folds brand-new indices (cold-start users, new items) in as fresh factor
@@ -117,14 +113,6 @@ type Options struct {
 	Model *core.Model
 	// Workers is the PredictBatch fan-out (0 = GOMAXPROCS).
 	Workers int
-	// MaxBatch caps how many queued single predictions one coalescer flush
-	// scores together (0 = DefaultMaxBatch; 1 disables coalescing).
-	MaxBatch int
-	// Shards is the number of coalescer dispatcher shards. Each shard owns
-	// its own submission queue and flush loop, so up to Shards batches
-	// assemble and score concurrently. 0 picks an automatic count scaled
-	// from GOMAXPROCS; ignored when MaxBatch is 1 (no coalescer).
-	Shards int
 	// RefitAfter triggers a background warm refit (and snapshot swap) once
 	// that many observations have arrived via /v1/observe since the last
 	// refit. 0 disables automatic refits; fold-ins still publish immediately.
@@ -210,8 +198,8 @@ type Options struct {
 	Logger *slog.Logger
 	// SlowRequest escalates the access-log line of any request that ran at
 	// least this long to Warn with full detail (request ID, endpoint,
-	// status, duration, coalescer shard) regardless of log level, so tail
-	// latencies are diagnosable without Debug-level volume. 0 disables.
+	// status, duration) regardless of log level, so tail latencies are
+	// diagnosable without Debug-level volume. 0 disables.
 	SlowRequest time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/, guarded by the same
 	// bearer token as the mutating endpoints (AuthToken). Profiles expose
@@ -229,16 +217,14 @@ type Options struct {
 	Mmap bool
 }
 
-// DefaultMaxBatch is the coalescer's flush cap when Options.MaxBatch is 0.
-const DefaultMaxBatch = 256
-
 // DefaultMaxBody is the request-body cap when Options.MaxBodyBytes is 0.
 const DefaultMaxBody int64 = 1 << 20
 
 // DefaultTimeout is the per-request bound when Options.Timeout is 0.
 const DefaultTimeout = 30 * time.Second
 
-// ErrServerClosed is returned to predictions caught in flight by Close.
+// ErrServerClosed is returned by work that Close cut short, such as a
+// follower's bootstrap retries.
 var ErrServerClosed = errors.New("serve: server closed")
 
 // Server is the HTTP serving layer over one hot-swappable model snapshot.
@@ -253,9 +239,8 @@ var ErrServerClosed = errors.New("serve: server closed")
 type Server struct {
 	opts Options
 
-	cur  atomic.Pointer[snapshot]
-	coal *coalescer
-	met  metrics
+	cur atomic.Pointer[snapshot]
+	met metrics
 
 	// online is the /v1/observe fitting state; see online.go. After the
 	// initial snapshot, every snapshot store happens under online.mu, so a
@@ -333,11 +318,8 @@ type Server struct {
 
 // New builds a Server from opts, loading the model from ModelPath unless a
 // Model is supplied directly. The returned server is ready to serve; call
-// Close when done to stop the coalescer.
+// Close when done to stop its background work and release the journal.
 func New(opts Options) (*Server, error) {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
 	s := &Server{opts: opts, now: time.Now}
 	s.log = opts.Logger
 	if s.log == nil {
@@ -368,10 +350,6 @@ func New(opts Options) (*Server, error) {
 	if opts.Follow != "" {
 		if err := s.initFollower(); err != nil {
 			return nil, err
-		}
-		if opts.MaxBatch > 1 {
-			s.coal = newCoalescer(opts.MaxBatch, opts.Shards, s.snapshot, &s.met)
-			s.coal.start()
 		}
 		return s, nil
 	}
@@ -437,12 +415,6 @@ func New(opts Options) (*Server, error) {
 	// grown it beyond what was loaded from disk.
 	s.updateHoldout(s.snapshot().model)
 
-	// MaxBatch 1 disables coalescing entirely: handlePredict scores on the
-	// caller's goroutine and no dispatcher is spun up.
-	if opts.MaxBatch > 1 {
-		s.coal = newCoalescer(opts.MaxBatch, opts.Shards, s.snapshot, &s.met)
-		s.coal.start()
-	}
 	// Age-bounded compaction: a ticker (stopped by Close via s.life) keeps
 	// restart replay time bounded even when traffic never crosses
 	// CompactBytes.
@@ -491,15 +463,6 @@ func (s *Server) closeSources() {
 		_ = src.Close()
 	}
 	s.srcs = nil
-}
-
-// Shards reports the number of coalescer dispatcher shards serving
-// /v1/predict (0 when coalescing is disabled).
-func (s *Server) Shards() int {
-	if s.coal == nil {
-		return 0
-	}
-	return len(s.coal.shards)
 }
 
 // snapshot returns the current model snapshot; callers use one snapshot for
@@ -573,15 +536,12 @@ func (s *Server) reload(path string) (*snapshot, error) {
 	return snap, nil
 }
 
-// Close stops the coalescer, cancels any background refit (it aborts within
-// one ALS iteration), and flushes and closes the journal. Idempotent. Shut
-// the http.Server down first (so no handler is mid-submit), then Close;
-// predictions still queued at that point are answered with ErrServerClosed.
+// Close cancels any background refit (it aborts within one ALS iteration),
+// stops a follower's tailing loop, flushes and closes the journal, and
+// unmaps the model files. Idempotent. Shut the http.Server down first, so no
+// handler still reads a snapshot, then Close.
 func (s *Server) Close() {
 	s.lifeStop()
-	if s.coal != nil {
-		s.coal.stop()
-	}
 	if f := s.repl.fol; f != nil {
 		// The tailing loop exits on the cancelled lifetime context; only
 		// then is its local journal safe to close (the loop is its only
@@ -600,8 +560,8 @@ func (s *Server) Close() {
 		s.online.stageMu.Unlock()
 		s.online.mu.Unlock()
 	}
-	// Unmap last: the coalescer is stopped and the HTTP server is down (the
-	// documented Close contract), so no request still reads a mapping.
+	// Unmap last: the HTTP server is down (the documented Close contract), so
+	// no request still reads a mapping.
 	s.closeSources()
 }
 
@@ -632,11 +592,7 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle(replicate.BootstrapPath, s.instrument("bootstrap", s.requireAuth(http.HandlerFunc(s.handleJournalBootstrap))))
 	}
 	mux.Handle("/healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
-	var depths func() []int
-	if s.coal != nil {
-		depths = s.coal.queueDepths
-	}
-	mux.Handle("/metrics", s.instrument("metrics", s.met.handler(s.snapshot, depths, s.replSample, s.MappedBytes)))
+	mux.Handle("/metrics", s.instrument("metrics", s.met.handler(s.snapshot, s.replSample, s.MappedBytes)))
 	if s.opts.Pprof {
 		// The profiling endpoints sit behind the same bearer token as the
 		// mutating endpoints: profiles leak internals and the CPU profile
@@ -717,22 +673,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !s.post(w, r, "predict", &req) {
 		return
 	}
-	var v float64
-	var err error
-	if s.coal == nil {
-		// Coalescing disabled: score on the caller's goroutine so predict
-		// traffic stays as parallel as the HTTP server itself.
-		v, err = s.snapshot().pred.PredictChecked(req.Index)
-		if err == nil {
-			s.met.predictions.Add(1)
-		}
-	} else {
-		v, err = s.coal.predict(r.Context(), req.Index)
-	}
+	v, err := s.snapshot().pred.PredictChecked(req.Index)
 	if err != nil {
-		s.clientOrServerError(w, "predict", err)
+		s.badRequest(w, "predict", err)
 		return
 	}
+	s.met.predictions.Add(1)
 	writeJSON(w, http.StatusOK, predictResponse{Value: v})
 }
 
@@ -869,17 +815,6 @@ func (s *Server) post(w http.ResponseWriter, r *http.Request, endpoint string, d
 func (s *Server) badRequest(w http.ResponseWriter, endpoint string, err error) {
 	s.met.errors(endpoint).Add(1)
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-}
-
-// clientOrServerError maps a prediction error to 400 for malformed input and
-// 503 for shutdown/cancellation.
-func (s *Server) clientOrServerError(w http.ResponseWriter, endpoint string, err error) {
-	s.met.errors(endpoint).Add(1)
-	status := http.StatusServiceUnavailable
-	if errors.Is(err, core.ErrBadIndex) {
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -88,7 +87,8 @@ func postJSON(t testing.TB, url, body string) (int, []byte) {
 }
 
 func TestHandlersRejectBadInput(t *testing.T) {
-	_, ts := testServer(t, Options{})
+	// Durable, so the observe rows can also check that nothing was journaled.
+	s, ts := testServer(t, Options{DataDir: t.TempDir()})
 	cases := []struct {
 		name     string
 		endpoint string
@@ -108,6 +108,7 @@ func TestHandlersRejectBadInput(t *testing.T) {
 		{"recommend bad mode", "/v1/recommend", `{"query":[1,2,3],"mode":9,"k":3}`, http.StatusBadRequest},
 		{"recommend bad fixed index", "/v1/recommend", `{"query":[1,999,3],"mode":0,"k":3}`, http.StatusBadRequest},
 		{"recommend zero k", "/v1/recommend", `{"query":[1,2,3],"mode":0,"k":0}`, http.StatusBadRequest},
+		{"observe overflowing value", "/v1/observe", `{"observations":[{"index":[1,2,3],"value":1e999}]}`, http.StatusBadRequest},
 		{"reload bad json", "/v1/reload", `{"model":3}`, http.StatusBadRequest},
 		{"reload missing file", "/v1/reload", `{"model":"/nonexistent.ptkm"}`, http.StatusBadRequest},
 		{"reload no default path", "/v1/reload", `{}`, http.StatusBadRequest},
@@ -121,6 +122,9 @@ func TestHandlersRejectBadInput(t *testing.T) {
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: expected a JSON error body, got %s", tc.name, body)
 		}
+	}
+	if seq := s.journal.LastSeq(); seq != 0 {
+		t.Errorf("rejected observe was journaled: journal at seq %d", seq)
 	}
 }
 
@@ -345,7 +349,7 @@ func TestConcurrentReloadWhilePredicting(t *testing.T) {
 	if err := core.SaveModel(pathB, mB); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{ModelPath: pathA, MaxBatch: 8})
+	s, err := New(Options{ModelPath: pathA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +465,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`ptucker_requests_total{endpoint="predict"} 2`,
 		`ptucker_errors_total{endpoint="predict"} 1`,
 		`ptucker_predictions_total 1`,
-		"ptucker_coalesced_batches_total",
 		"ptucker_reloads_total 0",
 		"ptucker_model_order 3",
 		fmt.Sprintf("ptucker_model_core_nnz %d", s.snapshot().coreNNZ),
@@ -472,66 +475,79 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// The coalescer must deliver correct per-request answers when many distinct
-// predictions race into shared batches.
-func TestCoalescerAnswersMatchUnderLoad(t *testing.T) {
+// Concurrent /v1/predict handlers share the predictor's pooled scratch: many
+// distinct indices scored at once must each get exactly their own answer,
+// bit-identical to a fresh Predictor. Run with -race.
+func TestPredictAnswersMatchUnderLoad(t *testing.T) {
 	m := fitModel(t, 7)
-	s, err := New(Options{Model: m, MaxBatch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	_, ts := testServer(t, Options{Model: m})
 	p := core.NewPredictor(m)
 	dims := p.Dims()
 	rng := rand.New(rand.NewSource(11))
 
 	type job struct {
-		idx  []int
+		body string
 		want float64
 	}
-	jobs := make([]job, 300)
-	for i := range jobs {
+	jobs := make([]job, 0, 300)
+	seen := make(map[string]bool)
+	for len(jobs) < cap(jobs) {
 		idx := make([]int, len(dims))
 		for k, d := range dims {
 			idx[k] = rng.Intn(d)
 		}
-		jobs[i] = job{idx, p.Predict(idx)}
+		body, _ := json.Marshal(predictRequest{Index: idx})
+		if seen[string(body)] {
+			continue
+		}
+		seen[string(body)] = true
+		jobs = append(jobs, job{string(body), p.Predict(idx)})
 	}
 
+	const clients = 32
+	queue := make(chan job, len(jobs))
+	for _, j := range jobs {
+		queue <- j
+	}
+	close(queue)
 	errs := make(chan string, len(jobs))
 	var wg sync.WaitGroup
-	for _, j := range jobs {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(j job) {
+		go func() {
 			defer wg.Done()
-			got, err := s.coal.predict(context.Background(), j.idx)
-			if err != nil {
-				errs <- err.Error()
-				return
+			for j := range queue {
+				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(j.body))
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var pr predictResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(b, &pr) != nil {
+					errs <- fmt.Sprintf("predict %s: status %d body %s", j.body, resp.StatusCode, b)
+					return
+				}
+				if math.Float64bits(pr.Value) != math.Float64bits(j.want) {
+					errs <- fmt.Sprintf("predict %s = %v want %v", j.body, pr.Value, j.want)
+				}
 			}
-			if math.Float64bits(got) != math.Float64bits(j.want) {
-				errs <- fmt.Sprintf("coalesced %v = %v want %v", j.idx, got, j.want)
-			}
-		}(j)
+		}()
 	}
 	wg.Wait()
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if s.met.flushes.Load() == 0 {
-		t.Fatal("coalescer executed no flushes")
-	}
-	if s.met.coalesced.Load() != int64(len(jobs)) {
-		t.Fatalf("coalesced %d predictions want %d", s.met.coalesced.Load(), len(jobs))
-	}
 }
 
-// MaxBatch=1 disables coalescing: /v1/predict must score on the handler
-// goroutine (direct PredictChecked path) with identical answers and 400s.
-func TestMaxBatchOneBypassesCoalescer(t *testing.T) {
+// /v1/predict scores on the handler goroutine through PredictChecked:
+// answers are bit-identical to the Predictor, a malformed index is a 400,
+// and only the scored cell counts toward ptucker_predictions_total.
+func TestPredictDirectPath(t *testing.T) {
 	m := fitModel(t, 7)
-	s, ts := testServer(t, Options{Model: m, MaxBatch: 1})
+	s, ts := testServer(t, Options{Model: m})
 	p := core.NewPredictor(m)
 
 	status, resp := postJSON(t, ts.URL+"/v1/predict", `{"index":[3,5,2]}`)
@@ -548,12 +564,6 @@ func TestMaxBatchOneBypassesCoalescer(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/predict", `{"index":[999,5,2]}`); status != http.StatusBadRequest {
 		t.Fatalf("direct-path bad index: status %d want 400", status)
 	}
-	if got := s.met.flushes.Load(); got != 0 {
-		t.Fatalf("coalescer flushed %d times with MaxBatch=1", got)
-	}
-	if got := s.Shards(); got != 0 {
-		t.Fatalf("Shards() = %d with MaxBatch=1, want 0 (no dispatchers spun up)", got)
-	}
 	if got := s.met.predictions.Load(); got != 1 {
 		t.Fatalf("predictions counter = %d want 1", got)
 	}
@@ -566,24 +576,4 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // must not panic
-}
-
-// Closing the server while predictions are queued must fail them with
-// ErrServerClosed, never hang them.
-func TestCloseFailsQueuedPredictions(t *testing.T) {
-	m := fitModel(t, 7)
-	s, err := New(Options{Model: m, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = s.coal.predict(context.Background(), []int{1, 2, 3})
-		}()
-	}
-	s.Close()
-	wg.Wait() // must terminate
 }

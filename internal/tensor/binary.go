@@ -275,6 +275,9 @@ func ReadBinary(r io.Reader, order int, dims []int) (*Coord, error) {
 	if want := binary.LittleEndian.Uint32(tail[:]); want != sum {
 		return nil, fmt.Errorf("%w: got %08x, want %08x", ErrTensorChecksum, sum, want)
 	}
+	if err := checkFinite(values); err != nil {
+		return nil, err
+	}
 
 	for e := 0; e < int(nnz); e++ {
 		for k := 0; k < n; k++ {
@@ -289,6 +292,17 @@ func ReadBinary(r io.Reader, order int, dims []int) (*Coord, error) {
 	t.indices = indices
 	t.values = values
 	return t, nil
+}
+
+// checkFinite rejects a snapshot value block holding NaN or ±Inf, naming the
+// first such entry.
+func checkFinite(values []float64) error {
+	for e, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: entry %d: %w: %v", ErrBadTensorFormat, e, ErrNonFinite, v)
+		}
+	}
+	return nil
 }
 
 // WriteBinaryFile writes t to the named file in the binary snapshot format.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func coordsEqual(t *testing.T, a, b *Coord) {
@@ -244,5 +245,55 @@ func TestWriteBinaryFileOverwrite(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersRejectNonFinite: NaN and ±Inf values fail every reader with
+// ErrNonFinite, naming the line (text) or the entry (binary and mapped,
+// which also wrap ErrBadTensorFormat). Parsing accepts these spellings, and
+// the binary formats can carry their bit patterns, so each reader must check.
+func TestReadersRejectNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    float64
+		text string
+	}{
+		{"NaN", math.NaN(), "NaN"},
+		{"+Inf", math.Inf(1), "Inf"},
+		{"-Inf", math.Inf(-1), "-Inf"},
+		{"+Inf spelled infinity", math.Inf(1), "+infinity"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Text: the bad value sits on line 3, after a comment line.
+			in := "# ratings\n1 1 1 0.5\n2 1 2 " + tc.text + "\n2 2 2 1.5\n"
+			_, err := Read(strings.NewReader(in), 3, nil)
+			if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "line 3") {
+				t.Fatalf("text: got %v, want ErrNonFinite naming line 3", err)
+			}
+
+			x := NewCoord([]int{3, 3})
+			x.MustAppend([]int{0, 0}, 1)
+			x.MustAppend([]int{1, 2}, 2)
+			x.MustAppend([]int{2, 1}, 3)
+			x.SetValue(1, tc.v)
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, x); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadBinary(bytes.NewReader(buf.Bytes()), 0, nil)
+			if !errors.Is(err, ErrBadTensorFormat) || !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "entry 1") {
+				t.Fatalf("binary: got %v, want ErrBadTensorFormat and ErrNonFinite naming entry 1", err)
+			}
+
+			// Mapped: an mmap base is 8-byte aligned; back the copy with
+			// uint64s to match.
+			words := make([]uint64, (buf.Len()+7)/8)
+			mapped := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), buf.Len())
+			copy(mapped, buf.Bytes())
+			_, err = CoordFromMapping(mapped)
+			if !errors.Is(err, ErrBadTensorFormat) || !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "entry 1") {
+				t.Fatalf("mapped: got %v, want ErrBadTensorFormat and ErrNonFinite naming entry 1", err)
+			}
+		})
 	}
 }

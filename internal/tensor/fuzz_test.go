@@ -3,13 +3,14 @@ package tensor
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzReadBinary decodes arbitrary bytes as a binary tensor snapshot. An
-// input the decoder accepts must re-encode and re-decode to a stable byte
-// stream (the canonical serialization is a fixed point); inputs it rejects
-// must fail with an error, never a panic.
+// input the decoder accepts must hold only finite values and must re-encode
+// and re-decode to a stable byte stream (the canonical serialization is a
+// fixed point); inputs it rejects must fail with an error, never a panic.
 func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(BinaryMagic))
@@ -18,6 +19,11 @@ func FuzzReadBinary(f *testing.F) {
 		t1, err := ReadBinary(bytes.NewReader(data), 0, nil)
 		if err != nil {
 			return // rejected: fine
+		}
+		for e, v := range t1.Values() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite value %v at entry %d", v, e)
+			}
 		}
 		var b1 bytes.Buffer
 		if err := WriteBinary(&b1, t1); err != nil {

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,6 +14,11 @@ import (
 // The on-disk format matches the published P-Tucker datasets: one observed
 // entry per line, N whitespace-separated 1-based indices followed by the
 // value. Lines starting with '#' and blank lines are ignored.
+
+// ErrNonFinite reports a NaN or ±Inf value in a tensor file. Every reader
+// rejects one: a single non-finite observation turns each factor row it
+// touches non-finite, and the fit still reports success.
+var ErrNonFinite = errors.New("tensor: value is not finite")
 
 // Write streams t to w in the text format.
 func Write(w io.Writer, t *Coord) error {
@@ -91,6 +98,9 @@ func Read(r io.Reader, order int, dims []int) (*Coord, error) {
 		val, err := strconv.ParseFloat(fields[order], 64)
 		if err != nil {
 			return nil, fmt.Errorf("tensor: line %d: bad value %q: %v", lineNo, fields[order], err)
+		}
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return nil, fmt.Errorf("%w: line %d: %q", ErrNonFinite, lineNo, fields[order])
 		}
 		values = append(values, val)
 	}

@@ -77,5 +77,8 @@ func CoordFromMapping(data []byte) (*Coord, error) {
 	} else {
 		values = unsafe.Slice((*float64)(unsafe.Pointer(&data[valOff])), nnz)
 	}
+	if err := checkFinite(values); err != nil {
+		return nil, err
+	}
 	return NewCoordData(dims, indices, values)
 }

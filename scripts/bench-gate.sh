@@ -32,9 +32,6 @@ go test -run '^$' -bench '^BenchmarkPredictSparse$' -benchtime 100000x -count 3 
 go test -run '^$' -bench '^BenchmarkRecommend(Sparse)?$' -benchtime 20000x -count 3 . | tee -a "$out"
 # Batched reconstruction (~5ms/op → ~0.5s windows).
 go test -run '^$' -bench '^BenchmarkPredictBatch(Serial)?$' -benchtime 100x -count 3 . | tee -a "$out"
-# Coalesced /v1/predict hot path, single-dispatcher baseline vs 4 shards
-# (~1µs/op → ~100ms windows; steady state, not warmup).
-go test -run '^$' -bench '^BenchmarkServeCoalescedPredict$' -benchtime 100000x -count 3 -cpu 4 ./internal/serve | tee -a "$out"
 # Online fold-in, Eq. 9 single-row solve (~12µs/op → ~60ms windows).
 go test -run '^$' -bench '^BenchmarkFoldIn$' -benchtime 5000x -count 3 ./internal/core | tee -a "$out"
 # Binary tensor snapshot load (~230µs/op → ~100ms windows).
@@ -45,7 +42,7 @@ go test -run '^$' -bench '^BenchmarkBinaryRead$' -benchtime 500x -count 3 ./inte
 # regressing toward heap-decode cost, aliasing broke somewhere.
 go test -run '^$' -bench '^BenchmarkMmapModelOpen$' -benchtime 2000x -count 3 ./internal/store | tee -a "$out"
 go test -run '^$' -bench '^BenchmarkHeapModelOpen$' -benchtime 100x -count 3 ./internal/store | tee -a "$out"
-# Histogram record path: every request/flush/fsync observation pays this, so
+# Histogram record path: every request/fsync observation pays this, so
 # it is gated on ns/op like the rest AND must stay allocation-free — an
 # alloc here would show up as GC pressure on the serving hot path.
 go test -run '^$' -bench '^BenchmarkHistogramRecord$' -benchtime 2000000x -count 3 -benchmem ./internal/metrics | tee -a "$out"

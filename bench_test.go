@@ -7,6 +7,7 @@ package ptucker
 // and `-list` shows the experiment index.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -129,7 +130,7 @@ func benchDecompose(b *testing.B, method Method) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(data.X, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), data.X, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +148,7 @@ func BenchmarkPredict(b *testing.B) {
 	cfg := Defaults([]int{4, 4, 4, 4})
 	cfg.MaxIters = 2
 	cfg.Seed = 1
-	m, err := Decompose(data.X, cfg)
+	m, err := DecomposeContext(context.Background(), data.X, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func servingModel(b *testing.B, batch int) (*Model, [][]int) {
 	cfg := Defaults([]int{4, 4, 4, 4})
 	cfg.MaxIters = 2
 	cfg.Seed = 1
-	m, err := Decompose(data.X, cfg)
+	m, err := DecomposeContext(context.Background(), data.X, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,9 +194,9 @@ func servingFixture(b *testing.B, batch int) (*Predictor, [][]int) {
 }
 
 // sparseServingFixture is servingFixture after VeST-style pruning: half the
-// core entries are removed by position and the mode-sorted layout rebuilt, so
-// the serving benchmarks exercise the grouped sparse kernels at |G|/2. The
-// ns/op ratio against the dense fixtures is the payoff of sparsification.
+// core entries are removed by position, so the serving benchmarks run the
+// flat-scan kernels at |G|/2. The ns/op ratio against the dense fixtures is
+// the payoff of sparsification.
 func sparseServingFixture(b *testing.B, batch int) (*Predictor, [][]int) {
 	b.Helper()
 	m, idxs := servingModel(b, batch)
@@ -204,7 +205,6 @@ func sparseServingFixture(b *testing.B, batch int) (*Predictor, [][]int) {
 		drop[i] = i%2 == 1
 	}
 	m.Core.RemoveEntries(drop)
-	m.Core.FinalizeLayout()
 	return NewPredictor(m), idxs
 }
 
@@ -232,7 +232,7 @@ func BenchmarkPredictSparse(b *testing.B) {
 }
 
 // BenchmarkRecommend measures a top-10 query over the items mode through the
-// Recommender's mode-grouped contraction.
+// Recommender's flat core contraction.
 func BenchmarkRecommend(b *testing.B) {
 	p, idxs := servingFixture(b, 1)
 	r := p.Recommender()
@@ -292,7 +292,7 @@ func BenchmarkReconstructionError(b *testing.B) {
 	cfg := Defaults([]int{4, 4, 4, 4})
 	cfg.MaxIters = 2
 	cfg.Seed = 1
-	m, err := Decompose(data.X, cfg)
+	m, err := DecomposeContext(context.Background(), data.X, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkCoreUpdateExtension(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(data.X, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), data.X, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"net/http"
@@ -37,7 +38,7 @@ func tinyModel(t testing.TB) *core.Model {
 	cfg.MaxIters = 2
 	cfg.Tol = 0
 	cfg.Seed = 5
-	m, err := core.Decompose(x, cfg)
+	m, err := core.DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,6 @@ func smokeModel(tb testing.TB, seed int64, rows int) *core.Model {
 		factors[k] = mat.NewDenseData(d, ranks[k], data)
 	}
 	g := core.NewRandomCore(ranks, rng)
-	g.FinalizeLayout()
 	return &core.Model{Factors: factors, Core: g, Config: core.Defaults(ranks)}
 }
 

@@ -5,6 +5,7 @@ package ptucker
 // shared workload.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -49,7 +50,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		cfg.Tol = 0
 		cfg.Threads = 2
 		cfg.Seed = 7
-		m, err := Decompose(train, cfg)
+		m, err := DecomposeContext(context.Background(), train, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -66,7 +67,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	cfg.MaxIters = 6
 	cfg.Threads = 2
 	cfg.Seed = 7
-	m, err := Decompose(train, cfg)
+	m, err := DecomposeContext(context.Background(), train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestMethodsAgreeOnFullyObservedLowRank(t *testing.T) {
 	cfg.Tol = 0
 	cfg.Threads = 2
 	cfg.Seed = 3
-	pm, err := Decompose(x, cfg)
+	pm, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSamplingFacade(t *testing.T) {
 	cfg.SampleRate = 0.5
 	cfg.Threads = 2
 	cfg.Seed = 4
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func BenchmarkIterationPlain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(x, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func BenchmarkIterationCache(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(x, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkIterationApprox(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(x, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkIterationSampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(x, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func benchScheduling(b *testing.B, s Scheduling) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(x, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func BenchmarkSchedulingStatic(b *testing.B)  { benchScheduling(b, ScheduleStati
 func BenchmarkPartialErrors(b *testing.B) {
 	x := benchTensor(b)
 	cfg := benchConfig(PTucker)
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func BenchmarkPartialErrors(b *testing.B) {
 func BenchmarkErrorPass(b *testing.B) {
 	x := benchTensor(b)
 	cfg := benchConfig(PTucker)
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

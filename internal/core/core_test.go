@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -181,7 +182,7 @@ func TestMethodStrings(t *testing.T) {
 
 func TestDecomposeEmptyTensor(t *testing.T) {
 	x := tensor.NewCoord([]int{4, 4})
-	if _, err := Decompose(x, Defaults([]int{2, 2})); err != ErrEmptyTensor {
+	if _, err := DecomposeContext(context.Background(), x, Defaults([]int{2, 2})); err != ErrEmptyTensor {
 		t.Fatalf("err = %v want ErrEmptyTensor", err)
 	}
 }
@@ -191,7 +192,7 @@ func TestDecomposeMonotoneError(t *testing.T) {
 	x := plantedTensor(rng, []int{12, 10, 8}, []int{3, 3, 3}, 300, 0.01)
 	cfg := smallConfig([]int{3, 3, 3})
 	cfg.MaxIters = 8
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,11 @@ func TestDecomposeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 150, 0.05)
 	cfg := smallConfig([]int{2, 2, 2})
-	m1, err := Decompose(x, cfg)
+	m1, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, cfg)
+	m2, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +241,13 @@ func TestDecomposeThreadInvariance(t *testing.T) {
 	x := plantedTensor(rng, []int{10, 9, 8}, []int{2, 3, 2}, 200, 0.02)
 	base := smallConfig([]int{2, 3, 2})
 	base.Threads = 1
-	m1, err := Decompose(x, base)
+	m1, err := DecomposeContext(context.Background(), x, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
 	par.Threads = 4
-	m4, err := Decompose(x, par)
+	m4, err := DecomposeContext(context.Background(), x, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +267,11 @@ func TestDecomposeSchedulingInvariance(t *testing.T) {
 	dyn.Scheduling = ScheduleDynamic
 	sta := smallConfig([]int{2, 2, 2})
 	sta.Scheduling = ScheduleStatic
-	m1, err := Decompose(x, dyn)
+	m1, err := DecomposeContext(context.Background(), x, dyn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, sta)
+	m2, err := DecomposeContext(context.Background(), x, sta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestDecomposeSchedulingInvariance(t *testing.T) {
 func TestFactorsOrthonormalAfterFinalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := plantedTensor(rng, []int{15, 12, 9}, []int{3, 2, 2}, 400, 0.05)
-	m, err := Decompose(x, smallConfig([]int{3, 2, 2}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{3, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestFinalizePreservesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := plantedTensor(rng, []int{10, 10, 10}, []int{2, 2, 2}, 250, 0.05)
 	cfg := smallConfig([]int{2, 2, 2})
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +318,11 @@ func TestCacheVariantMatchesPlain(t *testing.T) {
 	plain := smallConfig([]int{2, 2, 2})
 	cache := smallConfig([]int{2, 2, 2})
 	cache.Method = PTuckerCache
-	m1, err := Decompose(x, plain)
+	m1, err := DecomposeContext(context.Background(), x, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, cache)
+	m2, err := DecomposeContext(context.Background(), x, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestApproxShrinksCore(t *testing.T) {
 	cfg.Method = PTuckerApprox
 	cfg.TruncationRate = 0.2
 	cfg.MaxIters = 4
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +391,11 @@ func TestApproxAccuracyCloseToPlain(t *testing.T) {
 	approx := plain
 	approx.Method = PTuckerApprox
 	approx.TruncationRate = 0.1
-	m1, err := Decompose(x, plain)
+	m1, err := DecomposeContext(context.Background(), x, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, approx)
+	m2, err := DecomposeContext(context.Background(), x, approx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestPartialErrorIdentity(t *testing.T) {
 	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 120, 0.1)
 	cfg := smallConfig([]int{2, 2, 2})
 	cfg.MaxIters = 2
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestPartialErrorIdentity(t *testing.T) {
 func TestPredictMatchesManualExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := plantedTensor(rng, []int{6, 5, 4}, []int{2, 2, 2}, 60, 0.05)
-	m, err := Decompose(x, smallConfig([]int{2, 2, 2}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{2, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +459,7 @@ func TestPredictMatchesManualExpansion(t *testing.T) {
 func TestRMSEMatchesErrorOnTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 100, 0.05)
-	m, err := Decompose(x, smallConfig([]int{2, 2, 2}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{2, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +484,7 @@ func TestUnobservedRowsPredictZero(t *testing.T) {
 		idx[2] = rng.Intn(6)
 		x.MustAppend(idx, rng.Float64())
 	}
-	m, err := Decompose(x, smallConfig([]int{2, 2, 2}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{2, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,11 +502,11 @@ func TestUpdateCoreImprovesFit(t *testing.T) {
 	base.MaxIters = 4
 	withCore := base
 	withCore.UpdateCore = true
-	m1, err := Decompose(x, base)
+	m1, err := DecomposeContext(context.Background(), x, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, withCore)
+	m2, err := DecomposeContext(context.Background(), x, withCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestConvergenceStopsEarly(t *testing.T) {
 	cfg := smallConfig([]int{2, 2, 2})
 	cfg.MaxIters = 50
 	cfg.Tol = 1e-3
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +547,7 @@ func TestConvergenceStopsEarly(t *testing.T) {
 func TestTraceTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 100, 0.05)
-	m, err := Decompose(x, smallConfig([]int{2, 2, 2}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{2, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +589,7 @@ func TestCoreTensorDenseRoundTrip(t *testing.T) {
 	g := NewRandomCore([]int{2, 3, 2}, rng)
 	d := g.ToDense()
 	g2 := &CoreTensor{}
-	g2.FromDense(d, false)
+	g2.FromDense(d)
 	if g2.NNZ() != g.NNZ() {
 		t.Fatalf("round trip |G| = %d want %d", g2.NNZ(), g.NNZ())
 	}
@@ -597,11 +598,12 @@ func TestCoreTensorDenseRoundTrip(t *testing.T) {
 			t.Fatal("dense materialization mismatch")
 		}
 	}
-	// Sparse conversion drops zeros.
+	// Zeros are cells too: FromDense keeps them, in offset order.
 	d.Set([]int{0, 0, 0}, 0)
-	g2.FromDense(d, true)
-	if g2.NNZ() != g.NNZ()-1 {
-		t.Fatalf("sparse FromDense kept %d entries want %d", g2.NNZ(), g.NNZ()-1)
+	g2.FromDense(d)
+	if g2.NNZ() != g.NNZ() || g2.Value(0) != 0 || !g2.offsetSorted() {
+		t.Fatalf("FromDense kept %d entries (first %v, sorted %v), want all %d in offset order",
+			g2.NNZ(), g2.Value(0), g2.offsetSorted(), g.NNZ())
 	}
 }
 
@@ -692,7 +694,7 @@ func TestDecomposeMonotonicityProperty(t *testing.T) {
 		cfg.Tol = 0
 		cfg.Threads = 2
 		cfg.Seed = seed
-		m, err := Decompose(x, cfg)
+		m, err := DecomposeContext(context.Background(), x, cfg)
 		if err != nil {
 			return false
 		}
@@ -715,7 +717,7 @@ func TestPredictionsFiniteProperty(t *testing.T) {
 		cfg.MaxIters = 3
 		cfg.Threads = 1
 		cfg.Seed = seed
-		m, err := Decompose(x, cfg)
+		m, err := DecomposeContext(context.Background(), x, cfg)
 		if err != nil {
 			return false
 		}
@@ -737,7 +739,7 @@ func TestHighOrderSmoke(t *testing.T) {
 	cfg := Defaults(ranks)
 	cfg.MaxIters = 2
 	cfg.Threads = 2
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,11 +777,11 @@ func TestSamplingAccuracyCloseToExact(t *testing.T) {
 	exact.MaxIters = 6
 	sampled := exact
 	sampled.SampleRate = 0.5
-	m1, err := Decompose(x, exact)
+	m1, err := DecomposeContext(context.Background(), x, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, sampled)
+	m2, err := DecomposeContext(context.Background(), x, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,11 +802,11 @@ func TestSamplingLeavesSmallRowsExact(t *testing.T) {
 	exact.MaxIters = 3
 	sampled := exact
 	sampled.SampleRate = 0.5
-	m1, err := Decompose(x, exact)
+	m1, err := DecomposeContext(context.Background(), x, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, sampled)
+	m2, err := DecomposeContext(context.Background(), x, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,25 +24,14 @@ const RotationDropTol = 1e-14
 // three variants iterate "∀β ∈ G" in their inner loops — the entry list makes
 // that loop a flat scan and makes |G| shrink for free after truncation.
 //
-// Entry e has multi-index Idx[e*N : (e+1)*N] and value Val[e].
-//
-// A finalized core (see FinalizeLayout) additionally carries a mode-sorted
-// layout: entries ordered by little-endian linear offset, grouped by their
-// last-mode coordinate, which the prediction and recommendation kernels
-// iterate group-by-group instead of as a flat scan.
+// Entry e has multi-index Idx[e*N : (e+1)*N] and value Val[e]. Every core
+// the library builds keeps its entries in little-endian linear offset order
+// (mode 0 fastest): NewRandomCore and FromDense enumerate that order, the
+// sparse rotation emits it, and RemoveEntries preserves it.
 type CoreTensor struct {
 	dims []int
 	idx  []int
 	val  []float64
-
-	// groupOff, when non-nil, marks the finalized mode-sorted layout:
-	// entries are sorted by little-endian linear offset (mode 0 fastest),
-	// which groups them by their last-mode coordinate, and
-	// groupOff[j]..groupOff[j+1] is the entry range whose last-mode index is
-	// j (len(groupOff) == dims[N-1]+1). Any mutation of the entry list
-	// (RemoveEntries, FromDense, RotateAll*) invalidates it; FinalizeLayout
-	// rebuilds it.
-	groupOff []int
 }
 
 // NewRandomCore returns a full core with dims = ranks whose values are drawn
@@ -94,17 +83,15 @@ func (c *CoreTensor) Index(e int) []int {
 // Value returns entry e's value.
 func (c *CoreTensor) Value(e int) float64 { return c.val[e] }
 
-// SetValue overwrites entry e's value. The finalized layout (which depends
-// only on entry positions, not values) survives.
+// SetValue overwrites entry e's value.
 func (c *CoreTensor) SetValue(e int, v float64) { c.val[e] = v }
 
-// Clone returns a deep copy, finalized layout included.
+// Clone returns a deep copy.
 func (c *CoreTensor) Clone() *CoreTensor {
 	return &CoreTensor{
-		dims:     append([]int(nil), c.dims...),
-		idx:      append([]int(nil), c.idx...),
-		val:      append([]float64(nil), c.val...),
-		groupOff: append([]int(nil), c.groupOff...),
+		dims: append([]int(nil), c.dims...),
+		idx:  append([]int(nil), c.idx...),
+		val:  append([]float64(nil), c.val...),
 	}
 }
 
@@ -134,71 +121,25 @@ func (c *CoreTensor) entryOffset(e int, strides []int) int {
 	return off
 }
 
-// Finalized reports whether the core carries the finalized mode-sorted
-// layout (see FinalizeLayout).
-func (c *CoreTensor) Finalized() bool { return c.groupOff != nil }
-
-// GroupOffsets returns the finalized layout's per-group entry offsets (nil
-// when the core is not finalized): entries groupOff[j]..groupOff[j+1] are
-// exactly those whose last-mode coordinate is j. The slice must not be
-// modified.
-func (c *CoreTensor) GroupOffsets() []int { return c.groupOff }
-
-// FinalizeLayout sorts the entry list into the canonical little-endian
-// offset order (mode 0 fastest — the enumeration order of a dense core) and
-// builds the per-group offsets over the last mode, the slowest-varying
-// coordinate, so each group is a contiguous entry range. The prediction and
-// top-K kernels then iterate groups, hoisting the last-mode factor value out
-// of the inner product and skipping groups whose factor entry is zero — the
-// layout that makes a pruned core's smaller |G| pay off at serve time.
-//
-// The layout is a property of entry positions only; SetValue keeps it, while
-// RemoveEntries, FromDense, and the rotations invalidate it. Finalizing an
-// already-sorted list (the common case: FromDense and RotateAllSparse both
-// emit offset order) does not move entries.
-func (c *CoreTensor) FinalizeLayout() {
-	n := len(c.dims)
-	if n == 0 {
-		return
-	}
+// offsetSorted reports whether the entries are in strictly increasing
+// little-endian linear offset order, the order bit 0 of a model file's core
+// flags asserts.
+func (c *CoreTensor) offsetSorted() bool {
 	strides := c.strides()
-	offs := make([]int, len(c.val))
-	sorted := true
+	prev := -1
 	for e := range c.val {
-		offs[e] = c.entryOffset(e, strides)
-		if e > 0 && offs[e] <= offs[e-1] {
-			sorted = false
+		off := c.entryOffset(e, strides)
+		if off <= prev {
+			return false
 		}
+		prev = off
 	}
-	if !sorted {
-		perm := make([]int, len(c.val))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(a, b int) bool { return offs[perm[a]] < offs[perm[b]] })
-		idx := make([]int, len(c.idx))
-		val := make([]float64, len(c.val))
-		for w, e := range perm {
-			copy(idx[w*n:(w+1)*n], c.idx[e*n:(e+1)*n])
-			val[w] = c.val[e]
-		}
-		c.idx, c.val = idx, val
-	}
-
-	last := n - 1
-	counts := make([]int, c.dims[last]+1)
-	for e := 0; e < len(c.val); e++ {
-		counts[c.idx[e*n+last]+1]++
-	}
-	for j := 1; j < len(counts); j++ {
-		counts[j] += counts[j-1]
-	}
-	c.groupOff = counts
+	return true
 }
 
 // RemoveEntries deletes the entries whose positions (into the current entry
 // list) are marked true in drop, compacting the list in place. It returns the
-// number of removed entries. The finalized layout, if any, is invalidated.
+// number of removed entries. The survivors keep their relative order.
 func (c *CoreTensor) RemoveEntries(drop []bool) int {
 	n := len(c.dims)
 	w := 0
@@ -216,7 +157,6 @@ func (c *CoreTensor) RemoveEntries(drop []bool) int {
 	}
 	c.idx = c.idx[:w*n]
 	c.val = c.val[:w]
-	c.groupOff = nil
 	return removed
 }
 
@@ -231,23 +171,16 @@ func (c *CoreTensor) ToDense() *tensor.Dense {
 	return d
 }
 
-// FromDense rebuilds the live entry list from a dense tensor, keeping every
-// cell (including zeros, because a mode product can legitimately produce
-// structural zeros that later rotations revive — except when sparse is true,
-// in which case exact zeros are dropped). The finalized layout, if any, is
-// invalidated; the emitted entries are in canonical offset order, so a
-// subsequent FinalizeLayout does not move them.
-func (c *CoreTensor) FromDense(d *tensor.Dense, sparse bool) {
+// FromDense rebuilds the live entry list from a dense tensor in offset
+// order, keeping every cell — including zeros, because a mode product can
+// legitimately produce structural zeros that later rotations revive.
+func (c *CoreTensor) FromDense(d *tensor.Dense) {
 	n := d.Order()
 	c.dims = append(c.dims[:0], d.Dims()...)
 	c.idx = c.idx[:0]
 	c.val = c.val[:0]
-	c.groupOff = nil
 	idx := make([]int, n)
 	for off, v := range d.Data() {
-		if sparse && v == 0 {
-			continue
-		}
 		d.IndexOf(off, idx)
 		c.idx = append(c.idx, idx...)
 		c.val = append(c.val, v)
@@ -264,7 +197,7 @@ func (c *CoreTensor) FromDense(d *tensor.Dense, sparse bool) {
 func (c *CoreTensor) RotateAll(rs []*mat.Dense) {
 	d := c.ToDense()
 	d = d.ModeProductChain(rs)
-	c.FromDense(d, false)
+	c.FromDense(d)
 }
 
 // RotateAllSparse is the sparsity-preserving form of RotateAll: it applies
@@ -281,10 +214,9 @@ func (c *CoreTensor) RotateAll(rs []*mat.Dense) {
 //
 // The entry list comes out in canonical offset order; per-offset
 // accumulation follows the source entry order, so equal inputs rotate
-// bit-identically. The finalized layout, if any, is invalidated.
+// bit-identically.
 func (c *CoreTensor) RotateAllSparse(rs []*mat.Dense, keep int, tol float64) {
 	n := len(c.dims)
-	c.groupOff = nil
 	strides := c.strides()
 	for mode := 0; mode < n; mode++ {
 		r := rs[mode]

@@ -18,27 +18,6 @@ func ctxFixture(t *testing.T) *tensor.Coord {
 	return plantedTensor(rng, []int{18, 15, 12}, []int{2, 2, 2}, 1400, 0.02)
 }
 
-func TestDecomposeContextMatchesDecompose(t *testing.T) {
-	x := ctxFixture(t)
-	cfg := smallConfig([]int{2, 2, 2})
-	m1, err := Decompose(x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecomposeContext(context.Background(), x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(m1.TrainError) != math.Float64bits(m2.TrainError) {
-		t.Fatalf("train error diverged: %v vs %v", m1.TrainError, m2.TrainError)
-	}
-	for k := range m1.Factors {
-		if !m1.Factors[k].Equal(m2.Factors[k], 0) {
-			t.Fatalf("factor %d not bit-identical between Decompose and DecomposeContext", k)
-		}
-	}
-}
-
 func TestDecomposeContextAlreadyCancelled(t *testing.T) {
 	x := ctxFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -181,20 +160,5 @@ func TestModelConfigDropsHook(t *testing.T) {
 	}
 	if m.Config.OnIteration != nil {
 		t.Fatal("Model.Config retains the OnIteration closure")
-	}
-}
-
-// The hook must also work through the deprecated Decompose wrapper, since the
-// normalized config — not the caller's — is what the run uses.
-func TestOnIterationThroughDeprecatedWrapper(t *testing.T) {
-	x := ctxFixture(t)
-	cfg := smallConfig([]int{2, 2, 2})
-	calls := 0
-	cfg.OnIteration = func(IterStats) error { calls++; return nil }
-	if _, err := Decompose(x, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("hook never invoked via Decompose wrapper")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,11 +56,11 @@ func TestApproxEqualSeedsBitIdentical(t *testing.T) {
 	cfg.TruncationRate = 0.2
 	cfg.Threads = 4
 
-	m1, err := Decompose(x, cfg)
+	m1, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, cfg)
+	m2, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestWorkPerThreadSumsAcrossModes(t *testing.T) {
 	cfg := smallConfig([]int{3, 3, 3})
 	cfg.Threads = 3
 
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 	"repro/internal/tensor"
@@ -21,9 +22,10 @@ var (
 	// ErrNotFitted reports a Fitter operation that needs a model before one
 	// exists: call Fit first, or construct the Fitter with ResumeFitter.
 	ErrNotFitted = errors.New("core: fitter has no model yet (call Fit or use ResumeFitter)")
-	// ErrBadObservation reports an observation whose index does not address
-	// a cell the operation can accept (wrong number of modes, coordinate out
-	// of range, or — for FoldIn — a coordinate that is not the next new row).
+	// ErrBadObservation reports an observation the operation cannot accept:
+	// its index does not address an admissible cell (wrong number of modes,
+	// coordinate out of range, or — for FoldIn — a coordinate that is not the
+	// next new row), or its value is NaN or ±Inf.
 	ErrBadObservation = errors.New("core: invalid observation")
 	// ErrResumeMismatch reports a ResumeFitter call whose config is
 	// inconsistent with the model being resumed.
@@ -142,9 +144,10 @@ func (f *Fitter) Fit(ctx context.Context, x *tensor.Coord) (*Model, error) {
 }
 
 // Observe appends delta observations to the fitter's training set without
-// refitting; every index must address an existing cell. The observations
-// take effect at the next Refit. It validates all observations before
-// appending any, so a failed Observe leaves the fitter unchanged.
+// refitting; every index must address an existing cell and every value must
+// be finite. The observations take effect at the next Refit. It validates
+// all observations before appending any, so a failed Observe leaves the
+// fitter unchanged.
 func (f *Fitter) Observe(delta []Observation) error {
 	if f.st == nil {
 		return ErrNotFitted
@@ -152,6 +155,9 @@ func (f *Fitter) Observe(delta []Observation) error {
 	for i, o := range delta {
 		if err := f.checkIndex(o.Index); err != nil {
 			return fmt.Errorf("observation %d: %w", i, err)
+		}
+		if err := checkFinite(i, o); err != nil {
+			return err
 		}
 	}
 	for _, o := range delta {
@@ -212,8 +218,9 @@ func (f *Fitter) Refit(ctx context.Context, delta []Observation) (*Model, error)
 // factors and core, costing O(nnz_i·J²·|G|) instead of a full fit. The solved
 // row is bit-identical to what a cold-fit row update with all other factors
 // fixed would produce. obs indexes must carry the new row's index at mode and
-// existing coordinates elsewhere; the observations join the training set for
-// later Refits. It returns the new row's index.
+// existing coordinates elsewhere, and obs values must be finite; a rejected
+// call changes nothing. The observations join the training set for later
+// Refits. It returns the new row's index.
 //
 // Fold-in fixes every other factor row, so it is the right tool for serving
 // a cold-start entity immediately; accumulate enough fold-ins or new
@@ -248,6 +255,9 @@ func (f *Fitter) FoldIn(mode int, obs []Observation) (int, error) {
 				return 0, fmt.Errorf("%w: observation %d index %d out of range [0,%d) in mode %d",
 					ErrBadObservation, i, c, st.x.Dim(k), k)
 			}
+		}
+		if err := checkFinite(i, o); err != nil {
+			return 0, err
 		}
 	}
 
@@ -394,6 +404,15 @@ func (f *Fitter) NNZ() int {
 		return 0
 	}
 	return f.st.x.NNZ()
+}
+
+// checkFinite rejects observation i when its value is NaN or ±Inf: one such
+// value makes every factor row its solve touches non-finite.
+func checkFinite(i int, o Observation) error {
+	if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+		return fmt.Errorf("%w: observation %d value %v: %w", ErrBadObservation, i, o.Value, tensor.ErrNonFinite)
+	}
+	return nil
 }
 
 // checkIndex validates idx against the fitter's current shape.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -195,6 +196,85 @@ func TestFoldInValidation(t *testing.T) {
 	}
 	if f.NNZ() != 300 {
 		t.Fatalf("failed Observe appended anyway: nnz %d", f.NNZ())
+	}
+}
+
+// TestNonFiniteObservationsRejected: a NaN or ±Inf value is refused by
+// Observe, Refit and FoldIn with ErrBadObservation naming the observation,
+// before the fitter changes at all. Accepted, one such value turns every
+// factor row its solve touches non-finite while the fit still reports
+// success. The bad value sits behind a valid one, so a call that appended
+// as it validated would show up as a grown training set.
+func TestNonFiniteObservationsRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	x := plantedTensor(rng, []int{12, 10, 8}, []int{3, 3, 3}, 500, 0.05)
+	f := NewFitter(smallConfig([]int{3, 3, 3}))
+	if _, err := f.Fit(context.Background(), x); err != nil {
+		t.Fatal(err)
+	}
+	before := f.Snapshot()
+	batch := func(row int, v float64) []Observation {
+		return []Observation{{Index: []int{row, 2, 3}, Value: 0.5}, {Index: []int{row, 5, 6}, Value: v}}
+	}
+	ops := []struct {
+		name string
+		call func(v float64) error
+	}{
+		{"Observe", func(v float64) error { return f.Observe(batch(1, v)) }},
+		{"Refit", func(v float64) error {
+			_, err := f.Refit(context.Background(), batch(1, v))
+			return err
+		}},
+		{"FoldIn", func(v float64) error {
+			_, err := f.FoldIn(0, batch(12, v))
+			return err
+		}},
+	}
+	for _, op := range ops {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			err := op.call(v)
+			if !errors.Is(err, ErrBadObservation) || !errors.Is(err, tensor.ErrNonFinite) ||
+				!strings.Contains(err.Error(), "observation 1") {
+				t.Fatalf("%s(%v): err = %v, want ErrBadObservation naming observation 1", op.name, v, err)
+			}
+			if d := f.Dims(); d[0] != 12 || f.NNZ() != x.NNZ() || !modelsBitIdentical(f.Snapshot(), before) {
+				t.Fatalf("%s(%v): rejected call changed the fitter (dims %v, nnz %d)", op.name, v, d, f.NNZ())
+			}
+		}
+	}
+}
+
+// TestZeroLambdaSparseRowsStayFinite closes the λ=0 audit: with no ridge
+// term, a row with one to three observations gives Eq. 9 a singular system
+// at rank 3, which the Cholesky-then-LU solve must either solve or skip —
+// never turn into non-finite factor or core entries.
+func TestZeroLambdaSparseRowsStayFinite(t *testing.T) {
+	dims := []int{60, 50, 40}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := tensor.NewCoord(dims)
+		for e := 0; e < 150; e++ {
+			x.MustAppend([]int{rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2])}, rng.Float64())
+		}
+		cfg := smallConfig([]int{3, 3, 3})
+		cfg.Lambda = 0
+		cfg.Seed = seed
+		m, err := DecomposeContext(context.Background(), x, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for k, a := range m.Factors {
+			for i, v := range a.Data() {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("seed %d: factor %d entry %d = %v", seed, k, i, v)
+				}
+			}
+		}
+		for e := 0; e < m.Core.NNZ(); e++ {
+			if v := m.Core.Value(e); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("seed %d: core entry %d = %v", seed, e, v)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -27,13 +28,13 @@ func fuzzSeedModels(f *testing.F) [][]byte {
 	x := plantedTensor(rng, []int{8, 7, 6}, []int{2, 2, 2}, 300, 0.05)
 	cfg := smallConfig([]int{2, 2, 2})
 	cfg.MaxIters = 2
-	add(Decompose(x, cfg))
+	add(DecomposeContext(context.Background(), x, cfg))
 
 	sparse := cfg
 	sparse.Method = PTuckerApprox
 	sparse.TruncationRate = 0.25
 	sparse.Sparsify = 0.4
-	add(Decompose(x, sparse))
+	add(DecomposeContext(context.Background(), x, sparse))
 	return seeds
 }
 

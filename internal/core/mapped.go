@@ -27,8 +27,9 @@ import (
 // online learning resumes on deep clones (ResumeFitter), never in place.
 
 // ErrNotMappable reports a stream that cannot be served in place on this
-// machine: written before format v4, not finalized, or a platform whose int
-// is not 64-bit. Callers fall back to the heap decoder.
+// machine: written before format v4, held at a base address that is not
+// 8-byte aligned, or on a platform whose int is not 64-bit. Callers fall back
+// to the heap decoder.
 var ErrNotMappable = errors.New("core: model stream is not mappable in place")
 
 // mapReader walks the metadata of a v4 stream held entirely in memory,
@@ -165,8 +166,8 @@ func aliasInt(data []byte, off, n int) []int {
 // paths clone before writing, so this holds there by construction).
 //
 // Returns ErrNotMappable when the stream or platform cannot support
-// in-place serving (pre-v4 stream, non-finalized core, 32-bit int,
-// misaligned base address) — the heap decoder handles those — and
+// in-place serving (pre-v4 stream, 32-bit int, misaligned base address) —
+// the heap decoder handles those — and
 // ErrBadModelFormat / ErrModelChecksum for streams no decoder should trust.
 func ModelFromMapping(data []byte) (*Model, error) {
 	if strconv.IntSize != 64 {
@@ -234,7 +235,7 @@ func ModelFromMapping(data []byte) (*Model, error) {
 	}
 
 	coreFlags := r.u8("core flags")
-	if r.err == nil && coreFlags&^uint8(coreFlagFinalized) != 0 {
+	if r.err == nil && coreFlags&^uint8(coreFlagSorted) != 0 {
 		return nil, fmt.Errorf("%w: unknown core flags %#x", ErrBadModelFormat, coreFlags)
 	}
 	dims := r.ints("core dims")
@@ -298,42 +299,9 @@ func ModelFromMapping(data []byte) (*Model, error) {
 		idx:  aliasInt(data, idxOff, nnz*order),
 		val:  aliasFloat64(data, valOff, nnz),
 	}
+	if err := checkDecoded(m.Factors, g, coreFlags); err != nil {
+		return nil, err
+	}
 	m.Core = g
-
-	// The same structural sanity the heap reader enforces: everything the
-	// prediction kernels dereference must be in range.
-	for k, a := range m.Factors {
-		if a.Cols() != dims[k] {
-			return nil, fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
-				ErrBadModelFormat, k, a.Cols(), dims[k])
-		}
-	}
-	for e := 0; e < nnz; e++ {
-		for k := 0; k < order; k++ {
-			if i := g.idx[e*order+k]; i < 0 || i >= dims[k] {
-				return nil, fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
-					ErrBadModelFormat, e, k, i, dims[k])
-			}
-		}
-	}
-	if coreFlags&coreFlagFinalized == 0 {
-		// Finalizing would sort — a write through the mapping. Models saved
-		// since the finalized layout landed always carry the flag; anything
-		// older goes through the heap decoder.
-		return nil, fmt.Errorf("%w: core entry list is not finalized", ErrNotMappable)
-	}
-	st := g.strides()
-	prev := -1
-	for e := 0; e < nnz; e++ {
-		off := g.entryOffset(e, st)
-		if off <= prev {
-			return nil, fmt.Errorf("%w: core flagged finalized but entry %d breaks offset order",
-				ErrBadModelFormat, e)
-		}
-		prev = off
-	}
-	// Entries verified sorted: FinalizeLayout only allocates the (heap-side)
-	// group index and never moves them.
-	g.FinalizeLayout()
 	return m, nil
 }

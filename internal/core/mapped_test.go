@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"unsafe"
 
@@ -22,8 +23,8 @@ func alignedCopy(b []byte) []byte {
 	return out
 }
 
-// syntheticModel builds a servable model without fitting: random finalized
-// core, random factors. Factor 0's data block exceeds a 4KiB page, so the
+// syntheticModel builds a servable model without fitting: random full core,
+// random factors. Factor 0's data block exceeds a 4KiB page, so the
 // aliased value slices span page boundaries in the mapped file.
 func syntheticModel(tb testing.TB, seed int64, dims, ranks []int) *Model {
 	tb.Helper()
@@ -37,8 +38,17 @@ func syntheticModel(tb testing.TB, seed int64, dims, ranks []int) *Model {
 		factors[k] = mat.NewDenseData(d, ranks[k], data)
 	}
 	g := NewRandomCore(ranks, rng)
-	g.FinalizeLayout()
 	return &Model{Factors: factors, Core: g, Config: Defaults(ranks)}
+}
+
+// swapFirstTwoEntries exchanges core entries 0 and 1, breaking the offset
+// order of any core with at least two entries.
+func swapFirstTwoEntries(g *CoreTensor) {
+	n := g.Order()
+	for k := 0; k < n; k++ {
+		g.idx[k], g.idx[n+k] = g.idx[n+k], g.idx[k]
+	}
+	g.val[0], g.val[1] = g.val[1], g.val[0]
 }
 
 func encodeModel(tb testing.TB, m *Model) []byte {
@@ -103,9 +113,9 @@ func TestModelFromMappingBitIdenticalAndZeroCopy(t *testing.T) {
 	if mapped.Config.Seed != m.Config.Seed || mapped.Config.Lambda != m.Config.Lambda {
 		t.Fatalf("config changed: %+v vs %+v", mapped.Config, m.Config)
 	}
-	if mapped.Core.NNZ() != m.Core.NNZ() || !mapped.Core.Finalized() {
-		t.Fatalf("core nnz %d (finalized %v), want %d finalized",
-			mapped.Core.NNZ(), mapped.Core.Finalized(), m.Core.NNZ())
+	if mapped.Core.NNZ() != m.Core.NNZ() || !mapped.Core.offsetSorted() {
+		t.Fatalf("core nnz %d (offset-sorted %v), want %d offset-sorted",
+			mapped.Core.NNZ(), mapped.Core.offsetSorted(), m.Core.NNZ())
 	}
 }
 
@@ -113,7 +123,6 @@ func TestModelFromMappingBitIdenticalAndZeroCopy(t *testing.T) {
 // job: the mapper must say ErrNotMappable, not misparse.
 func TestModelFromMappingRejectsOldVersions(t *testing.T) {
 	m, _ := fittedModel(t, 11)
-	m.Core.groupOff = nil
 	var buf bytes.Buffer
 	if err := writeModelV1(m, &buf); err != nil {
 		t.Fatal(err)
@@ -155,9 +164,10 @@ func TestModelFromMappingTruncated(t *testing.T) {
 }
 
 // writeModelV4Lying re-encodes m in the v4 layout with both CRCs computed
-// over the stream as written, but with one length field inflated by lie —
-// the "checksums say fine, lengths say otherwise" attack the mapper's
-// bounds checks must stop. field is "nnz" or "rows".
+// over the stream as written, but with one field lying — the "checksums say
+// fine, the fields say otherwise" attack the readers' checks must stop.
+// field "nnz" or "rows" inflates that length by lie; field "flags" sets the
+// sorted bit whatever the entry order is.
 func writeModelV4Lying(tb testing.TB, m *Model, field string, lie uint64) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -206,8 +216,8 @@ func writeModelV4Lying(tb testing.TB, m *Model, field string, lie uint64) []byte
 
 	g := m.Core
 	var flags uint8
-	if g.Finalized() {
-		flags |= coreFlagFinalized
+	if g.offsetSorted() || field == "flags" {
+		flags |= coreFlagSorted
 	}
 	bw.write(flags)
 	bw.writeInts(g.dims)
@@ -267,6 +277,102 @@ func TestModelFromMappingRejectsLyingLengths(t *testing.T) {
 	data := writeModelV4Lying(t, m, "none", 0)
 	if _, err := ModelFromMapping(data); err != nil {
 		t.Fatalf("truthful control stream rejected: %v", err)
+	}
+}
+
+// Bit 0 of the core flags is a claim about entry order, not a mappability
+// requirement: a v4 stream whose core is out of offset order carries the bit
+// clear, and the mapper serves it in place like any other.
+func TestModelFromMappingServesUnsortedCore(t *testing.T) {
+	dims := []int{20, 16, 12}
+	m := syntheticModel(t, 15, dims, []int{3, 2, 2})
+	swapFirstTwoEntries(m.Core)
+	if m.Core.offsetSorted() {
+		t.Fatal("test bug: swapped core is still offset-sorted")
+	}
+	data := encodeModel(t, m)
+
+	mapped, err := ModelFromMapping(data)
+	if err != nil {
+		t.Fatalf("v4 stream with the sorted bit clear: %v", err)
+	}
+	heap, err := ReadModel(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	idx := make([]int, len(dims))
+	for i := 0; i < 200; i++ {
+		for k, d := range dims {
+			idx[k] = rng.Intn(d)
+		}
+		want := math.Float64bits(m.Predict(idx))
+		if math.Float64bits(mapped.Predict(idx)) != want || math.Float64bits(heap.Predict(idx)) != want {
+			t.Fatalf("prediction at %v differs between original, mapped and heap models", idx)
+		}
+	}
+}
+
+// model_v4.ptkm pins file compatibility across builds: an earlier build's
+// SaveModel wrote it from a P-Tucker-Approx fit with Sparsify of a planted
+// 9×8×7 tensor (ranks 3,3,3, 400 entries, noise 0.3, TruncationRate 0.1,
+// Sparsify 0.05, 4 iterations, seed 42), its core pruned from 19 entries to
+// 12. Both readers must load it, agree bit for bit on every cell, and
+// re-encode it to the identical bytes.
+func TestModelV4FixtureLoadsAndReencodes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/model_v4.ptkm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := alignedCopy(raw)
+	heap, err := ReadModel(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("heap reader: %v", err)
+	}
+	mapped, err := ModelFromMapping(data)
+	if err != nil {
+		t.Fatalf("mapped reader: %v", err)
+	}
+	if heap.Config.Sparsify == 0 || heap.Core.NNZ() >= heap.FinalCoreNNZ {
+		t.Fatalf("fixture is not a sparsified model: Sparsify %v, |G| %d of %d",
+			heap.Config.Sparsify, heap.Core.NNZ(), heap.FinalCoreNNZ)
+	}
+
+	dims := make([]int, heap.Order())
+	for k, a := range heap.Factors {
+		dims[k] = a.Rows()
+	}
+	idx := make([]int, len(dims))
+	cells := 0
+	for {
+		a, b := heap.Predict(idx), mapped.Predict(idx)
+		if math.Float64bits(a) != math.Float64bits(b) || math.IsNaN(a) || math.IsInf(a, 0) {
+			t.Fatalf("cell %v: heap %v vs mapped %v", idx, a, b)
+		}
+		cells++
+		k := 0
+		for ; k < len(idx); k++ {
+			if idx[k]++; idx[k] < dims[k] {
+				break
+			}
+			idx[k] = 0
+		}
+		if k == len(idx) {
+			break
+		}
+	}
+	if cells != 9*8*7 {
+		t.Fatalf("visited %d cells want %d", cells, 9*8*7)
+	}
+
+	for i, m := range []*Model{heap, mapped} {
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("re-encoding the %s-decoded fixture changed its bytes", []string{"heap", "mapped"}[i])
+		}
 	}
 }
 

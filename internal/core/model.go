@@ -79,14 +79,10 @@ func (m *Model) Predict(idx []int) float64 {
 }
 
 // predictWithRows evaluates Eq. (4) given pre-fetched factor rows for each
-// mode; it is the shared inner kernel of prediction, error measurement and
-// truncation scoring. A finalized core takes the grouped path; an
-// unfinalized one (mid-fit, or loaded from a pre-v3 model file) keeps the
-// flat scan, bit-identical to the historical kernel.
+// mode as one flat scan over the live entries, so its cost is linear in |G|.
+// It is the one kernel behind prediction, the error pass, sparsify scoring
+// and the core update.
 func predictWithRows(g *CoreTensor, rows [][]float64) float64 {
-	if g.groupOff != nil {
-		return predictGrouped(g, rows)
-	}
 	n := len(rows)
 	var sum float64
 	gi := g.idx
@@ -97,45 +93,6 @@ func predictWithRows(g *CoreTensor, rows [][]float64) float64 {
 			prod *= rows[k][gi[base+k]]
 		}
 		sum += prod
-	}
-	return sum
-}
-
-// predictGrouped is predictWithRows over the finalized mode-sorted layout:
-// entries are iterated group-by-group over the last-mode coordinate, the
-// last-mode factor value is hoisted out of the inner product (one multiply
-// per group instead of per entry), and groups whose hoisted factor value is
-// zero are skipped entirely. The per-group partial sums reassociate the
-// float64 addition relative to the flat scan — same mathematical value,
-// possibly different final ulps — but the association is a pure function of
-// the layout, so a sparse core and a densified clone of it (both finalized)
-// answer bit-identically.
-func predictGrouped(g *CoreTensor, rows [][]float64) float64 {
-	n := len(rows)
-	last := n - 1
-	rlast := rows[last]
-	off := g.groupOff
-	gi, gv := g.idx, g.val
-	var sum float64
-	for j := 0; j+1 < len(off); j++ {
-		s, e := off[j], off[j+1]
-		if s == e {
-			continue
-		}
-		rj := rlast[j]
-		if rj == 0 {
-			continue
-		}
-		var gs float64
-		for t := s; t < e; t++ {
-			p := gv[t]
-			base := t * n
-			for k := 0; k < last; k++ {
-				p *= rows[k][gi[base+k]]
-			}
-			gs += p
-		}
-		sum += gs * rj
 	}
 	return sum
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -12,7 +13,7 @@ func predictorFixture(t *testing.T) (*Model, *Predictor, [][]int) {
 	rng := rand.New(rand.NewSource(7))
 	dims := []int{20, 16, 12}
 	x := plantedTensor(rng, dims, []int{3, 3, 3}, 1500, 0.02)
-	m, err := Decompose(x, smallConfig([]int{3, 3, 3}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{3, 3, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,17 +12,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Decompose runs Algorithm 2 (P-Tucker for Sparse Tensors) on the observed
-// entries of x and returns the fitted model. It is DecomposeContext with a
-// background context — no cancellation.
-//
-// Deprecated: use DecomposeContext, which adds cancellation and the
-// Config.OnIteration observability hook. Decompose is kept as a thin
-// compatibility wrapper and behaves identically for configs without a hook.
-func Decompose(x *tensor.Coord, cfg Config) (*Model, error) {
-	return DecomposeContext(context.Background(), x, cfg)
-}
-
 // DecomposeContext runs Algorithm 2 (P-Tucker for Sparse Tensors) on the
 // observed entries of x and returns the fitted model. The variant (plain,
 // Cache, Approx) is selected by cfg.Method.
@@ -213,10 +202,9 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 
 // finish is the finalize phase (Algorithm 2 lines 8-11): record the truncated
 // |G|, orthogonalize the factors by QR and rotate the core by the R factors
-// (Eqs. 7-8), optionally prune the core under the Sparsify budget, and
-// finalize the core's mode-sorted serving layout. Truncated fits
-// (P-Tucker-Approx) rotate sparsely, so the core keeps its truncated |G|
-// through finalization instead of being re-densified.
+// (Eqs. 7-8), and optionally prune the core under the Sparsify budget.
+// Truncated fits (P-Tucker-Approx) rotate sparsely, so the core keeps its
+// truncated |G| through finalization instead of being re-densified.
 func (st *state) finish(model *Model) error {
 	// |G| after the last truncation, recorded before finalize's rotation.
 	model.FinalCoreNNZ = st.core.NNZ()
@@ -230,7 +218,6 @@ func (st *state) finish(model *Model) error {
 	st.cache = nil
 	st.cacheW = 0
 	st.sparsifyCore(model)
-	st.core.FinalizeLayout()
 	return nil
 }
 
@@ -259,7 +246,7 @@ func finalize(factors []*mat.Dense, g *CoreTensor, sparse bool) error {
 	return nil
 }
 
-// state carries the mutable pieces of one Decompose run.
+// state carries the mutable pieces of one DecomposeContext run.
 type state struct {
 	x       *tensor.Coord
 	omega   *tensor.ModeIndex

@@ -123,13 +123,8 @@ func (r *Recommender) TopKExcluding(query []int, freeMode, k int, exclude []int)
 }
 
 // contract folds the core with the fixed factor rows, producing the weight
-// vector w of length J_free with w[j] = Σ_{β: β_m=j} Gβ·∏_{k≠m} A(k)[i_k][β_k].
-// On a finalized core with a free mode other than the last, the sweep runs
-// group-by-group over the last-mode coordinate, hoisting that mode's fixed
-// factor value out of the inner product and skipping zero-valued groups —
-// the same layout win as the grouped predict kernel. When the free mode IS
-// the grouping mode the flat scan already visits each w[j]'s entries
-// contiguously, so it is kept as is.
+// vector w of length J_free with w[j] = Σ_{β: β_m=j} Gβ·∏_{k≠m} A(k)[i_k][β_k],
+// in one flat scan over the live entries.
 func (r *Recommender) contract(query []int, freeMode int) []float64 {
 	p := r.p
 	n := len(p.dims)
@@ -141,36 +136,8 @@ func (r *Recommender) contract(query []int, freeMode int) []float64 {
 		}
 	}
 	w := make([]float64, p.factors[freeMode].Cols())
-	gi, gv := g.idx, g.val
-
-	last := n - 1
-	if off := g.groupOff; off != nil && freeMode != last {
-		rlast := rows[last]
-		for j := 0; j+1 < len(off); j++ {
-			s, e := off[j], off[j+1]
-			if s == e {
-				continue
-			}
-			rj := rlast[j]
-			if rj == 0 {
-				continue
-			}
-			for t := s; t < e; t++ {
-				base := t * n
-				prod := gv[t]
-				for m := 0; m < last; m++ {
-					if m == freeMode {
-						continue
-					}
-					prod *= rows[m][gi[base+m]]
-				}
-				w[gi[base+freeMode]] += prod * rj
-			}
-		}
-		return w
-	}
-
-	for e, v := range gv {
+	gi := g.idx
+	for e, v := range g.val {
 		base := e * n
 		prod := v
 		for m := 0; m < n; m++ {

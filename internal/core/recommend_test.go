@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -140,7 +141,7 @@ func tieFixture(t *testing.T) (int, *Predictor) {
 	rng := rand.New(rand.NewSource(5))
 	dims := []int{10, 6, 5}
 	x := plantedTensor(rng, dims, []int{2, 2, 2}, 200, 0.05)
-	m, err := Decompose(x, smallConfig([]int{2, 2, 2}))
+	m, err := DecomposeContext(context.Background(), x, smallConfig([]int{2, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,11 @@ import (
 //   - v1: base format.
 //   - v2: appended FinalCoreNNZ to the summary (v1 defaults it to 0).
 //   - v3: appended Config.Sparsify to the config block, and prefixed the
-//     core record with a flags byte (bit 0: the entry list is in the
-//     finalized mode-sorted layout — strictly increasing little-endian
-//     offsets — which the reader verifies and rebuilds the group index
-//     from). Dense cores carry the same dims/nnz/entries encoding as
+//     core record with a flags byte. Bit 0 states that the entries are in
+//     strictly increasing little-endian offset order (mode 0 fastest);
+//     WriteTo sets it exactly when that holds, and both readers reject a
+//     stream whose entries break an order its bit claims. No other bit is
+//     defined. Dense cores carry the same dims/nnz/entries encoding as
 //     before, so a v2-era dense core round-trips bit-identically through
 //     the v3 record.
 //   - v4: the mmap layout. The three bulk blocks — each factor's row-major
@@ -77,9 +78,9 @@ const (
 	// allocation instead of forcing gigabytes up front.
 	readChunk = 1 << 14
 
-	// coreFlagFinalized marks a v3 core record whose entry list is in the
-	// finalized mode-sorted layout.
-	coreFlagFinalized = 1 << 0
+	// coreFlagSorted marks a v3+ core record whose entries are in strictly
+	// increasing little-endian offset order.
+	coreFlagSorted = 1 << 0
 )
 
 // Errors returned by the model readers.
@@ -338,15 +339,13 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 		bw.writeBlock(a.Data())
 	}
 
-	// Core tensor: flags (v3), dims, then the live entry list. A finalized
-	// core's entries are already offset-sorted; the flag lets the reader
-	// verify that and rebuild the group index without re-sorting. v4 stores
+	// Core tensor: flags (v3), dims, then the live entry list. v4 stores
 	// indices as int64 in one aligned block (the value block that follows is
 	// a whole number of 8-byte words, so one pad aligns both).
 	g := m.Core
 	var flags uint8
-	if g.Finalized() {
-		flags |= coreFlagFinalized
+	if g.offsetSorted() {
+		flags |= coreFlagSorted
 	}
 	bw.write(flags)
 	bw.writeInts(g.dims)
@@ -470,7 +469,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 	var coreFlags uint8
 	if version >= 3 {
 		br.read(&coreFlags)
-		if br.err == nil && coreFlags&^uint8(coreFlagFinalized) != 0 {
+		if br.err == nil && coreFlags&^uint8(coreFlagSorted) != 0 {
 			return nil, fmt.Errorf("%w: unknown core flags %#x", ErrBadModelFormat, coreFlags)
 		}
 	}
@@ -538,42 +537,37 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("%w: got %08x, want %08x", ErrModelChecksum, sum, want)
 	}
 
-	// Structural sanity: everything prediction dereferences must be in
-	// range, so a corrupt-but-checksummed (or crafted) file fails here at
-	// load time instead of panicking inside the serve-path kernel. Factor k
-	// must have exactly dims[k] columns, and every core entry index must
-	// address a valid column.
+	if err := checkDecoded(factors, g, coreFlags); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// checkDecoded is the structural check both readers run once a stream's
+// checksums pass, so a corrupt-but-checksummed (or crafted) file fails at
+// load time instead of panicking inside a serve-path kernel: factor k must
+// have exactly dims[k] columns, every core entry index must address a valid
+// column, and a set sorted bit in flags must hold.
+func checkDecoded(factors []*mat.Dense, g *CoreTensor, flags uint8) error {
 	for k, a := range factors {
 		if a.Cols() != g.dims[k] {
-			return nil, fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
+			return fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
 				ErrBadModelFormat, k, a.Cols(), g.dims[k])
 		}
 	}
-	for e := 0; e < nnz; e++ {
+	order := len(g.dims)
+	for e := range g.val {
 		for k := 0; k < order; k++ {
 			if i := g.idx[e*order+k]; i < 0 || i >= g.dims[k] {
-				return nil, fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
+				return fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
 					ErrBadModelFormat, e, k, i, g.dims[k])
 			}
 		}
 	}
-	if coreFlags&coreFlagFinalized != 0 {
-		// The flag claims the entry list is already in finalized order;
-		// verify rather than trust, then rebuild the group index. A lying
-		// flag would otherwise desync the grouped kernels from the data.
-		st := g.strides()
-		prev := -1
-		for e := 0; e < nnz; e++ {
-			off := g.entryOffset(e, st)
-			if off <= prev {
-				return nil, fmt.Errorf("%w: core flagged finalized but entry %d breaks offset order",
-					ErrBadModelFormat, e)
-			}
-			prev = off
-		}
-		g.FinalizeLayout()
+	if flags&coreFlagSorted != 0 && !g.offsetSorted() {
+		return fmt.Errorf("%w: core flags claim offset order but the entries break it", ErrBadModelFormat)
 	}
-	return m, nil
+	return nil
 }
 
 // SaveModel writes the model to path atomically: it serializes into a

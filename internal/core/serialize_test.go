@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -19,7 +20,7 @@ func fittedModel(t *testing.T, seed int64) (*Model, [][]int) {
 	x := plantedTensor(rng, dims, []int{2, 2, 2}, 1200, 0.02)
 	cfg := smallConfig([]int{2, 2, 2})
 	cfg.Method = PTuckerApprox // exercises a sparse (truncated-then-rotated) core
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +179,6 @@ func writeModelV1(m *Model, buf *bytes.Buffer) error {
 // reader accepts v1 and defaults the appended FinalCoreNNZ to 0.
 func TestReadModelAcceptsVersion1(t *testing.T) {
 	m, idxs := fittedModel(t, 4)
-	// v1 files predate the finalized layout; emulate one faithfully so both
-	// sides of the comparison run the same (flat) predict kernel.
-	m.Core.groupOff = nil
 	var buf bytes.Buffer
 	if err := writeModelV1(m, &buf); err != nil {
 		t.Fatal(err)

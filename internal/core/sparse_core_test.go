@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,62 +10,8 @@ import (
 	"repro/internal/mat"
 )
 
-// Tests for the sparsity-preserving pipeline: the finalized mode-sorted core
-// layout, the sparse QR rotation, and VeST-style post-fit pruning
-// (Config.Sparsify).
-
-// TestFinalizeLayoutGroupsAndSorts pins the canonical layout: entries sorted
-// by little-endian linear offset, grouped contiguously by the last-mode
-// coordinate, with a counting-sort offset table over it.
-func TestFinalizeLayoutGroupsAndSorts(t *testing.T) {
-	// Entries deliberately out of offset order, with one last-mode group (j=1)
-	// empty.
-	g := &CoreTensor{
-		dims: []int{3, 2, 3},
-		idx: []int{
-			2, 1, 2,
-			0, 0, 0,
-			1, 0, 2,
-			0, 1, 0,
-		},
-		val: []float64{4, 1, 3, 2},
-	}
-	g.FinalizeLayout()
-	if !g.Finalized() {
-		t.Fatal("core not finalized after FinalizeLayout")
-	}
-	st := g.strides()
-	prev := -1
-	for e := 0; e < g.NNZ(); e++ {
-		off := g.entryOffset(e, st)
-		if off <= prev {
-			t.Fatalf("entry %d at offset %d not strictly after %d", e, off, prev)
-		}
-		prev = off
-	}
-	off := g.GroupOffsets()
-	if want := g.dims[len(g.dims)-1] + 1; len(off) != want {
-		t.Fatalf("group offsets length %d want %d", len(off), want)
-	}
-	n := g.Order()
-	last := n - 1
-	for j := 0; j+1 < len(off); j++ {
-		for e := off[j]; e < off[j+1]; e++ {
-			if got := g.Index(e)[last]; got != j {
-				t.Fatalf("entry %d in group %d has last-mode coordinate %d", e, j, got)
-			}
-		}
-	}
-	if off[0] != 0 || off[len(off)-1] != g.NNZ() {
-		t.Fatalf("group offsets %v do not cover [0,%d)", off, g.NNZ())
-	}
-	// Values followed their entries: offset order here is 1 (origin), 2, 3, 4.
-	for e, want := range []float64{1, 2, 3, 4} {
-		if g.Value(e) != want {
-			t.Fatalf("entry %d value %v want %v (layout moved values and indices inconsistently)", e, g.Value(e), want)
-		}
-	}
-}
+// Tests for the sparsity-preserving pipeline: the offset-ordered entry list,
+// the sparse QR rotation, and VeST-style post-fit pruning (Config.Sparsify).
 
 // TestApproxFinalizeKeepsSparseCore is the tentpole acceptance check: a
 // P-Tucker-Approx model keeps its truncated |G| through the QR finalization
@@ -76,7 +23,7 @@ func TestApproxFinalizeKeepsSparseCore(t *testing.T) {
 	cfg.Method = PTuckerApprox
 	cfg.TruncationRate = 0.2
 	cfg.MaxIters = 4
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +34,8 @@ func TestApproxFinalizeKeepsSparseCore(t *testing.T) {
 	if got := m.Core.NNZ(); got > m.FinalCoreNNZ {
 		t.Fatalf("served core has %d entries, finalize re-densified past the truncated %d", got, m.FinalCoreNNZ)
 	}
-	if !m.Core.Finalized() {
-		t.Fatal("fitted core is not in the finalized layout")
+	if !m.Core.offsetSorted() {
+		t.Fatal("fitted core is not in offset order")
 	}
 	// The sparse rotation must still be the correct rotation: factors end
 	// orthonormal and the model still explains the planted data reasonably.
@@ -103,10 +50,10 @@ func TestApproxFinalizeKeepsSparseCore(t *testing.T) {
 }
 
 // TestSparsePredictMatchesDensifiedClone pins the bit-identity contract of
-// the grouped kernels: a sparse finalized core and a densified clone of it
-// (zeros materialized, same layout) answer Predict and TopK with the exact
-// same float64 bits — a zero entry's contribution is an FP identity, and the
-// summation association depends only on the layout.
+// the flat kernels: a sparse core and a densified clone of it (zeros
+// materialized) answer Predict and TopK with the exact same float64 bits — a
+// zero entry's contribution is an FP identity, and both entry lists are in
+// offset order, so the live terms are summed in the same order.
 func TestSparsePredictMatchesDensifiedClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dims := []int{12, 9, 7}
@@ -115,7 +62,7 @@ func TestSparsePredictMatchesDensifiedClone(t *testing.T) {
 	cfg.Method = PTuckerApprox
 	cfg.TruncationRate = 0.25
 	cfg.MaxIters = 4
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +71,7 @@ func TestSparsePredictMatchesDensifiedClone(t *testing.T) {
 	}
 
 	dense := &Model{Factors: m.Factors, Core: m.Core.Clone(), Config: m.Config}
-	dense.Core.FromDense(m.Core.ToDense(), false)
-	dense.Core.FinalizeLayout()
+	dense.Core.FromDense(m.Core.ToDense())
 	if dense.Core.NNZ() != 27 {
 		t.Fatalf("densified clone has %d entries want the full 27", dense.Core.NNZ())
 	}
@@ -173,13 +119,13 @@ func TestSparsifyBudgetRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x := plantedTensor(rng, []int{12, 10, 8}, []int{3, 3, 3}, 700, 0.1)
 	base := smallConfig([]int{3, 3, 3})
-	m0, err := Decompose(x, base)
+	m0, err := DecomposeContext(context.Background(), x, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruned := base
 	pruned.Sparsify = 0.5
-	m1, err := Decompose(x, pruned)
+	m1, err := DecomposeContext(context.Background(), x, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +136,8 @@ func TestSparsifyBudgetRespected(t *testing.T) {
 	if got := m1.ReconstructionError(x); got > budget*(1+1e-12) {
 		t.Fatalf("pruned error %v exceeds budget %v", got, budget)
 	}
-	if !m1.Core.Finalized() {
-		t.Fatal("pruned core lost the finalized layout")
+	if !m1.Core.offsetSorted() {
+		t.Fatal("pruned core lost its offset order")
 	}
 	// TrainError must describe the pruned model actually returned.
 	if got, want := m1.TrainError, m1.ReconstructionError(x); math.Abs(got-want) > 1e-9*math.Max(1, want) {
@@ -206,14 +152,14 @@ func TestSparsifyHoldoutGatesBudget(t *testing.T) {
 	x := plantedTensor(rng, []int{12, 10, 8}, []int{3, 3, 3}, 900, 0.1)
 	train, holdout := x.Split(0.8, rand.New(rand.NewSource(5)))
 	base := smallConfig([]int{3, 3, 3})
-	m0, err := Decompose(train, base)
+	m0, err := DecomposeContext(context.Background(), train, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruned := base
 	pruned.Sparsify = 0.5
 	pruned.SparsifyHoldout = holdout
-	m1, err := Decompose(train, pruned)
+	m1, err := DecomposeContext(context.Background(), train, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +188,11 @@ func TestSparsifyEqualSeedsBitIdentical(t *testing.T) {
 	cfg.Sparsify = 0.3
 	cfg.Threads = 4
 
-	m1, err := Decompose(x, cfg)
+	m1, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Decompose(x, cfg)
+	m2, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +200,7 @@ func TestSparsifyEqualSeedsBitIdentical(t *testing.T) {
 		t.Fatal("equal seeds produced different sparsified models")
 	}
 	cfg.Threads = 1
-	m3, err := Decompose(x, cfg)
+	m3, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +210,9 @@ func TestSparsifyEqualSeedsBitIdentical(t *testing.T) {
 }
 
 // TestSparseModelSaveLoadRoundTrip pins the persistence contract for sparse
-// finalized cores: save → load → predict is bit-identical, the finalized
-// layout survives, and re-encoding the loaded model reproduces the bytes
-// exactly (decode∘encode is a fixed point).
+// cores: save → load → predict is bit-identical, the offset order survives,
+// and re-encoding the loaded model reproduces the bytes exactly
+// (decode∘encode is a fixed point).
 func TestSparseModelSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	dims := []int{12, 9, 7}
@@ -275,12 +221,12 @@ func TestSparseModelSaveLoadRoundTrip(t *testing.T) {
 	cfg.Method = PTuckerApprox
 	cfg.TruncationRate = 0.2
 	cfg.Sparsify = 0.4
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Core.Finalized() || m.Core.NNZ() >= 27 {
-		t.Fatalf("fixture not sparse+finalized (nnz %d)", m.Core.NNZ())
+	if !m.Core.offsetSorted() || m.Core.NNZ() >= 27 {
+		t.Fatalf("fixture not sparse and offset-sorted (nnz %d)", m.Core.NNZ())
 	}
 
 	var buf bytes.Buffer
@@ -292,8 +238,8 @@ func TestSparseModelSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Core.Finalized() {
-		t.Fatal("finalized layout lost across the round trip")
+	if !back.Core.offsetSorted() {
+		t.Fatal("offset order lost across the round trip")
 	}
 	if back.Core.NNZ() != m.Core.NNZ() {
 		t.Fatalf("core nnz changed: %d vs %d", back.Core.NNZ(), m.Core.NNZ())
@@ -331,8 +277,8 @@ func TestReadModelAcceptsVersion2Fixture(t *testing.T) {
 	if m.Config.Sparsify != 0 {
 		t.Fatalf("v2 Sparsify = %v want default 0", m.Config.Sparsify)
 	}
-	if m.Core.Finalized() {
-		t.Fatal("v2 core claims a finalized layout that predates the concept")
+	if !m.Core.offsetSorted() {
+		t.Fatal("v2 core (a dense fit) is not in offset order")
 	}
 	if m.Order() != 3 {
 		t.Fatalf("fixture order = %d want 3", m.Order())
@@ -345,7 +291,8 @@ func TestReadModelAcceptsVersion2Fixture(t *testing.T) {
 	if v := m.Predict([]int{5, 4, 3}); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Fatalf("fixture prediction = %v", v)
 	}
-	// Upgrading: re-saving writes v3 and must preserve predictions exactly.
+	// Upgrading: re-saving writes the current version and must preserve
+	// predictions exactly.
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -357,41 +304,36 @@ func TestReadModelAcceptsVersion2Fixture(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		idx := []int{i % 6, i % 5, i % 4}
 		if math.Float64bits(m.Predict(idx)) != math.Float64bits(back.Predict(idx)) {
-			t.Fatalf("prediction at %v changed across the v2→v3 upgrade", idx)
+			t.Fatalf("prediction at %v changed across the v2 upgrade", idx)
 		}
 	}
 }
 
-// TestReadModelRejectsLyingFinalizedFlag covers the reader's layout check: a
-// stream whose flags byte claims a finalized layout but whose entries are not
-// in strictly increasing offset order must be rejected, not trusted.
+// TestReadModelRejectsLyingFinalizedFlag covers the readers' order check: a
+// stream whose flags byte claims offset order but whose entries break it must
+// be rejected by both readers, not trusted. WriteTo never writes such a
+// stream, so the test forges the bit.
 func TestReadModelRejectsLyingFinalizedFlag(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	x := plantedTensor(rng, []int{8, 7, 6}, []int{2, 2, 2}, 300, 0.05)
 	cfg := smallConfig([]int{2, 2, 2})
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap two core entries so the flagged order is a lie, then re-encode
-	// (WriteTo recomputes the CRC, so only the layout check can catch it).
-	g := m.Core
-	if g.NNZ() < 2 {
+	// Swap two core entries so the order the forged bit claims is a lie; both
+	// CRCs are computed over the stream as written, so only the order check
+	// can catch it.
+	if m.Core.NNZ() < 2 {
 		t.Fatal("fixture core too small")
 	}
-	n := g.Order()
-	g.idx[0], g.idx[n] = g.idx[n], g.idx[0]
-	for k := 1; k < n; k++ {
-		g.idx[k], g.idx[n+k] = g.idx[n+k], g.idx[k]
+	swapFirstTwoEntries(m.Core)
+	data := writeModelV4Lying(t, m, "flags", 0)
+	if _, err := ReadModel(bytes.NewReader(data)); !errorIs(err, ErrBadModelFormat) {
+		t.Fatalf("heap reader: err = %v want ErrBadModelFormat", err)
 	}
-	g.val[0], g.val[1] = g.val[1], g.val[0]
-	// groupOff still claims finalized; WriteTo writes the flag.
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadModel(&buf); !errorIs(err, ErrBadModelFormat) {
-		t.Fatalf("err = %v want ErrBadModelFormat", err)
+	if _, err := ModelFromMapping(data); !errorIs(err, ErrBadModelFormat) {
+		t.Fatalf("mapped reader: err = %v want ErrBadModelFormat", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func movieModel(t *testing.T) (*core.Model, *synth.MovieLensData) {
 	c.MaxIters = 8
 	c.Threads = 2
 	c.Seed = 5
-	m, err := core.Decompose(d.X, c)
+	m, err := core.DecomposeContext(context.Background(), d.X, c)
 	if err != nil {
 		t.Fatal(err)
 	}

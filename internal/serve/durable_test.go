@@ -254,7 +254,7 @@ func slowRefitModel(t testing.TB) *core.Model {
 	cfg.MaxIters = 300
 	cfg.Tol = 0
 	cfg.Seed = 17
-	m, err := core.Decompose(x, cfg)
+	m, err := core.DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

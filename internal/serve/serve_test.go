@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +48,7 @@ func fitModel(t testing.TB, seed int64) *core.Model {
 	cfg.MaxIters = 3
 	cfg.Tol = 0
 	cfg.Seed = seed
-	m, err := core.Decompose(x, cfg)
+	m, err := core.DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // FuzzJournalReplay feeds arbitrary bytes to OpenJournal as an on-disk
 // journal. The contract under fuzz: a file the open accepts must then
 // replay cleanly — strictly increasing sequence numbers, order-3 indices,
-// a record count agreeing with Len — and must keep accepting appends.
+// finite values, a record count agreeing with Len — and must keep accepting
+// appends.
 // Rejecting the input outright is always fine; panicking or replaying
 // garbage is not.
 func FuzzJournalReplay(f *testing.F) {
@@ -44,6 +46,9 @@ func FuzzJournalReplay(f *testing.F) {
 			for _, o := range r.Observations {
 				if len(o.Index) != 3 {
 					t.Fatalf("replay: record %d has a %d-mode index in an order-3 journal", r.Seq, len(o.Index))
+				}
+				if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+					t.Fatalf("replay: record %d carries non-finite value %v", r.Seq, o.Value)
 				}
 			}
 			return nil

@@ -169,7 +169,9 @@ func CreateJournal(path string, order int, baseSeq uint64, policy SyncPolicy) (*
 // OpenJournal opens (creating if necessary) the journal at path for a tensor
 // of the given order. Existing records are scanned: the open validates the
 // header, finds the end of the last intact record, and truncates a torn tail
-// left by a crash. Appends continue the surviving sequence.
+// left by a crash. Appends continue the surviving sequence. A record whose
+// checksum holds but which carries a NaN or ±Inf value fails the open and
+// leaves the file untouched.
 func OpenJournal(path string, order int, policy SyncPolicy) (*Journal, error) {
 	if order <= 0 || order > 255 {
 		return nil, fmt.Errorf("store: journal order %d out of range", order)
@@ -232,6 +234,11 @@ func (j *Journal) recover() error {
 	off := int64(journalHeaderSize)
 	for off < st.Size() {
 		rec, next, err := readRecord(j.f, off, st.Size(), j.order)
+		if errors.Is(err, tensor.ErrNonFinite) {
+			// The record's checksum held, so this is no torn tail: truncating
+			// would silently drop it and every record after it.
+			return err
+		}
 		if err != nil {
 			// Torn or corrupt tail: everything before off is intact. Truncate
 			// so the next append does not bury garbage mid-log.
@@ -254,7 +261,9 @@ func (j *Journal) recover() error {
 
 // readRecord decodes the record at off, returning it and the next offset.
 // Any truncation or checksum failure is an error (the caller treats it as
-// the torn tail).
+// the torn tail). A record whose checksum holds but which carries a NaN or
+// ±Inf value fails with an error wrapping both ErrBadJournal and
+// tensor.ErrNonFinite: it is corrupt content, not a torn write.
 func readRecord(f io.ReaderAt, off, size int64, order int) (Record, int64, error) {
 	var frame [8]byte
 	if off+8 > size {
@@ -290,10 +299,12 @@ func readRecord(f io.ReaderAt, off, size int64, order int) (Record, int64, error
 			idx[k] = int(binary.LittleEndian.Uint32(p))
 			p = p[4:]
 		}
-		obs[i] = core.Observation{
-			Index: idx,
-			Value: math.Float64frombits(binary.LittleEndian.Uint64(p)),
+		v := math.Float64frombits(binary.LittleEndian.Uint64(p))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Record{}, 0, fmt.Errorf("%w: record %d at offset %d observation %d: %w: %v",
+				ErrBadJournal, seq, off, i, tensor.ErrNonFinite, v)
 		}
+		obs[i] = core.Observation{Index: idx, Value: v}
 		p = p[8:]
 	}
 	return Record{Seq: seq, Observations: obs}, off + 8 + plen, nil
@@ -302,8 +313,8 @@ func readRecord(f io.ReaderAt, off, size int64, order int) (Record, int64, error
 // Append writes one observation batch as a single record and returns its
 // sequence number. Under SyncAlways the record is on disk when Append
 // returns; under SyncBatch it is on disk within the policy interval. Every
-// observation must have the journal's order and non-negative coordinates
-// that fit the format's 32-bit indices.
+// observation must have the journal's order, non-negative coordinates that
+// fit the format's 32-bit indices, and a finite value.
 func (j *Journal) Append(obs []core.Observation) (uint64, error) {
 	if len(obs) == 0 {
 		return 0, fmt.Errorf("store: empty observation batch")
@@ -316,6 +327,9 @@ func (j *Journal) Append(obs []core.Observation) (uint64, error) {
 			if c < 0 || int64(c) > math.MaxUint32 {
 				return 0, fmt.Errorf("store: observation %d index %d out of range in mode %d", i, c, k)
 			}
+		}
+		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+			return 0, fmt.Errorf("store: observation %d value %v: %w", i, o.Value, tensor.ErrNonFinite)
 		}
 	}
 	// A record the reader would refuse must never be written: recovery treats
@@ -505,9 +519,10 @@ func (j *Journal) StreamChunk(after, maxSeq uint64, maxBytes int) (frames []byte
 // DecodeRecord decodes the first framed record in b, returning it and the
 // number of bytes consumed. An incomplete frame (the buffer ends mid-record —
 // a torn stream tail) returns io.ErrUnexpectedEOF; a frame whose checksum or
-// shape is wrong returns ErrBadJournal. It is the buffer-level counterpart of
-// the journal's on-disk reader, used by replication followers to decode
-// streamed chunks with the same tolerance for torn tails.
+// shape is wrong, or whose values are not all finite, returns ErrBadJournal.
+// It is the buffer-level counterpart of the journal's on-disk reader, used by
+// replication followers to decode streamed chunks with the same tolerance
+// for torn tails.
 func DecodeRecord(b []byte, order int) (Record, int, error) {
 	rec, next, err := readRecord(bytesReaderAt(b), 0, int64(len(b)), order)
 	if err != nil {

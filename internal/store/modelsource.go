@@ -100,7 +100,7 @@ func MmapModel(path string) (ModelSource, error) {
 
 // OpenModel opens the named model file, preferring the zero-copy mapped
 // decoder when preferMmap is set and falling back to the heap loader when
-// the platform, the file's format version, or its layout cannot support
+// the platform or the file's format version (pre-v4) cannot support
 // in-place serving. Verdicts about the file's integrity (bad format, bad
 // checksum, unsupported version) do not fall back: a file the mapped
 // decoder proved corrupt must not be retried by the heap decoder.
@@ -115,7 +115,7 @@ func OpenModel(path string, preferMmap bool) (ModelSource, error) {
 			errors.Is(err, core.ErrModelVersion) {
 			return nil, err
 		}
-		// Not mappable here (old format, platform, odd file): heap-load it.
+		// Not mappable here (old format, platform): heap-load it.
 	}
 	m, err := core.LoadModel(path)
 	if err != nil {

@@ -29,7 +29,6 @@ func benchModel(tb testing.TB, rows int) *core.Model {
 		factors[k] = mat.NewDenseData(d, ranks[k], data)
 	}
 	g := core.NewRandomCore(ranks, rng)
-	g.FinalizeLayout()
 	return &core.Model{Factors: factors, Core: g, Config: core.Defaults(ranks)}
 }
 

@@ -2,7 +2,9 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -353,6 +355,70 @@ func TestJournalValidation(t *testing.T) {
 	// Wrong order on reopen is rejected.
 	if _, err := OpenJournal(path, 4, SyncPolicy{}); !errors.Is(err, ErrBadJournal) {
 		t.Fatalf("order mismatch on open: %v", err)
+	}
+}
+
+// TestJournalRejectsNonFinite: a NaN or ±Inf observation value never enters
+// the journal through Append, and a record that carries one under a valid
+// checksum (written by something else) fails OpenJournal and DecodeRecord.
+// The open must not treat it as a torn tail: the file keeps its size, so
+// neither that record nor the one after it is silently dropped.
+func TestJournalRejectsNonFinite(t *testing.T) {
+	const order = 3
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "obs.ptkj")
+			j, err := OpenJournal(path, order, SyncPolicy{Mode: SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := []core.Observation{{Index: []int{0, 1, 2}, Value: 1}, {Index: []int{1, 2, 3}, Value: tc.v}}
+			if _, err := j.Append(bad); !errors.Is(err, tensor.ErrNonFinite) || j.Len() != 0 {
+				t.Fatalf("Append: err = %v (len %d), want ErrNonFinite and nothing written", err, j.Len())
+			}
+			// Two good records; then forge the first one's value to tc.v and
+			// re-seal its CRC, as a foreign writer could.
+			good := []core.Observation{{Index: []int{0, 1, 2}, Value: 0.25}}
+			for i := 0; i < 2; i++ {
+				if _, err := j.Append(good); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := raw[journalHeaderSize:]
+			plen := binary.LittleEndian.Uint32(frame[0:4])
+			payload := frame[8 : 8+plen]
+			binary.LittleEndian.PutUint64(payload[12+4*order:], math.Float64bits(tc.v))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			_, err = OpenJournal(path, order, SyncPolicy{Mode: SyncNone})
+			if !errors.Is(err, ErrBadJournal) || !errors.Is(err, tensor.ErrNonFinite) {
+				t.Fatalf("OpenJournal: err = %v, want ErrBadJournal wrapping ErrNonFinite", err)
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() != int64(len(raw)) {
+				t.Fatalf("OpenJournal changed the file: size %v (err %v), want %d", st.Size(), err, len(raw))
+			}
+			_, _, err = DecodeRecord(frame, order)
+			if !errors.Is(err, ErrBadJournal) || !errors.Is(err, tensor.ErrNonFinite) {
+				t.Fatalf("DecodeRecord: err = %v, want ErrBadJournal wrapping ErrNonFinite", err)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestPlantedTuckerIsLowRank(t *testing.T) {
 	cfg := core.Defaults([]int{2, 2, 2})
 	cfg.MaxIters = 10
 	cfg.Threads = 2
-	m, err := core.Decompose(x, cfg)
+	m, err := core.DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

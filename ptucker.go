@@ -146,12 +146,6 @@ func DecomposeContext(ctx context.Context, x *Tensor, cfg Config) (*Model, error
 	return core.DecomposeContext(ctx, x, cfg)
 }
 
-// Decompose factorizes x without cancellation or progress hooks.
-//
-// Deprecated: use DecomposeContext. Decompose remains as a compatibility
-// wrapper equivalent to DecomposeContext(context.Background(), x, cfg).
-func Decompose(x *Tensor, cfg Config) (*Model, error) { return core.Decompose(x, cfg) }
-
 // Fitter is the stateful online-learning handle: it owns a mutable copy of
 // the factors, core, and accumulated observations, and exposes Fit (cold
 // start, equivalent to DecomposeContext), Refit (warm-started ALS over the
@@ -185,7 +179,8 @@ func ResumeFitter(m *Model, cfg Config) (*Fitter, error) { return core.ResumeFit
 var ErrNotFitted = core.ErrNotFitted
 
 // ErrBadObservation is returned by Fitter.Observe/Refit/FoldIn for an
-// observation that does not address an acceptable cell.
+// observation that does not address an acceptable cell or whose value is NaN
+// or ±Inf.
 var ErrBadObservation = core.ErrBadObservation
 
 // TrainingStore supplies a persisted training set to Fitter.AttachStore, so

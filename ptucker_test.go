@@ -33,7 +33,7 @@ func TestFacadeDecomposeAndPredict(t *testing.T) {
 	cfg.MaxIters = 6
 	cfg.Threads = 2
 	cfg.Seed = 7
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFacadeVariants(t *testing.T) {
 		cfg.MaxIters = 3
 		cfg.Threads = 2
 		cfg.Seed = 5
-		if _, err := Decompose(x, cfg); err != nil {
+		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestFacadeDiscovery(t *testing.T) {
 	cfg.MaxIters = 5
 	cfg.Threads = 2
 	cfg.Seed = 9
-	m, err := Decompose(x, cfg)
+	m, err := DecomposeContext(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFacadeSchedulingConstants(t *testing.T) {
 	cfg.MaxIters = 2
 	cfg.Scheduling = ScheduleStatic
 	cfg.Threads = 2
-	if _, err := Decompose(x, cfg); err != nil {
+	if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if ScheduleDynamic == ScheduleStatic {

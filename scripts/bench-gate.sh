@@ -24,10 +24,10 @@ out="${1:-bench.txt}"
 
 # Serving kernel, single-cell reconstruction (~1µs/op → ~100ms windows).
 go test -run '^$' -bench '^(BenchmarkPredict|BenchmarkPredictorPredict)$' -benchtime 100000x -count 3 . | tee -a "$out"
-# Sparse-core serving: same kernel on a half-pruned finalized core; the gate
-# also catches the proportional speedup regressing back toward dense cost.
+# Sparse-core serving: same kernel on a half-pruned core; the gate also
+# catches the proportional speedup regressing back toward dense cost.
 go test -run '^$' -bench '^BenchmarkPredictSparse$' -benchtime 100000x -count 3 . | tee -a "$out"
-# Top-10 ranking through the mode-grouped contraction, dense vs pruned core
+# Top-10 ranking through the flat core contraction, dense vs pruned core
 # (~5µs/op → ~100ms windows).
 go test -run '^$' -bench '^BenchmarkRecommend(Sparse)?$' -benchtime 20000x -count 3 . | tee -a "$out"
 # Batched reconstruction (~5ms/op → ~0.5s windows).

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 	"unsafe"
 
@@ -389,9 +390,9 @@ func TestModelFromMappingDetectsMetadataCorruption(t *testing.T) {
 }
 
 // The mapper's open cost must not scale with factor bytes: its allocation
-// count is identical for a small and a 64x-larger model (the heap decoder's
-// grows with the data). This is the allocation face of the
-// BenchmarkMmapModelOpen acceptance criterion, stable enough to pin.
+// count is identical for a small and a 64x-larger model. This is the
+// allocation face of the BenchmarkMmapModelOpen acceptance criterion, stable
+// enough to pin.
 func TestModelFromMappingAllocsIndependentOfSize(t *testing.T) {
 	small := encodeModel(t, syntheticModel(t, 14, []int{128, 16, 12}, []int{3, 2, 2}))
 	large := encodeModel(t, syntheticModel(t, 14, []int{8192, 1024, 12}, []int{3, 2, 2}))
@@ -405,5 +406,156 @@ func TestModelFromMappingAllocsIndependentOfSize(t *testing.T) {
 	}
 	if s, l := mapOpens(small), mapOpens(large); s != l {
 		t.Fatalf("mapped open allocations scale with size: %v (small) vs %v (large)", s, l)
+	}
+}
+
+// within reports whether every element of xs lies inside buf.
+func within[T any](buf []byte, xs []T) bool {
+	if len(xs) == 0 {
+		return true
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(xs)))
+	return p >= lo && p+uintptr(len(xs))*unsafe.Sizeof(xs[0]) <= lo+uintptr(len(buf))
+}
+
+// blocksWithin reports whether m's factor data, core indices and core
+// values all lie inside buf (aliased), or all outside it (copied).
+func blocksWithin(m *Model, buf []byte) (all, none bool) {
+	all, none = true, true
+	check := func(in bool) {
+		all = all && in
+		none = none && !in
+	}
+	for _, a := range m.Factors {
+		check(within(buf, a.Data()))
+	}
+	check(within(buf, m.Core.idx))
+	check(within(buf, m.Core.val))
+	return all, none
+}
+
+// A heap-decoded v4 model points into its own read buffer instead of
+// decoding every element, so LoadModel's allocation count does not grow
+// with the file: one read buffer sized from the file, then metadata-sized
+// allocations only.
+func TestHeapDecodeAliasesReadBuffer(t *testing.T) {
+	m := syntheticModel(t, 19, []int{600, 50, 40}, []int{4, 3, 2})
+	data := encodeModel(t, m)
+	heap, err := decodeModel(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all, _ := blocksWithin(heap, data); !all {
+		t.Fatal("heap-decoded v4 blocks do not alias the read buffer")
+	}
+
+	dir := t.TempDir()
+	small := filepath.Join(dir, "small.ptkm")
+	large := filepath.Join(dir, "large.ptkm")
+	if err := SaveModel(small, syntheticModel(t, 14, []int{128, 16, 12}, []int{3, 2, 2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveModel(large, syntheticModel(t, 14, []int{8192, 1024, 12}, []int{3, 2, 2})); err != nil {
+		t.Fatal(err)
+	}
+	loads := func(path string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := LoadModel(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := loads(small), loads(large); s != l {
+		t.Fatalf("heap load allocations scale with size: %v (small) vs %v (large)", s, l)
+	}
+}
+
+// A v4 stream held at a misaligned address takes the decoder's copy branch
+// (the one a big-endian host takes for every block) and must decode to the
+// same model as the aliased branch: bit-identical predictions and bytes.
+func TestHeapDecodeMisalignedBufferCopies(t *testing.T) {
+	dims := []int{600, 50, 40}
+	m := syntheticModel(t, 20, dims, []int{4, 3, 2})
+	data := encodeModel(t, m)
+	shifted := alignedCopy(append(make([]byte, 1), data...))[1:]
+	if uintptr(unsafe.Pointer(&shifted[0]))&7 == 0 {
+		t.Fatal("test bug: shifted buffer still aligned")
+	}
+	copied, err := decodeModel(shifted, false)
+	if err != nil {
+		t.Fatalf("misaligned heap decode: %v", err)
+	}
+	if _, none := blocksWithin(copied, shifted); !none {
+		t.Fatal("misaligned blocks were aliased, not copied")
+	}
+	aliased, err := decodeModel(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	idx := make([]int, len(dims))
+	for i := 0; i < 500; i++ {
+		for k, d := range dims {
+			idx[k] = rng.Intn(d)
+		}
+		if math.Float64bits(copied.Predict(idx)) != math.Float64bits(aliased.Predict(idx)) {
+			t.Fatalf("copied and aliased decodes predict differently at %v", idx)
+		}
+	}
+	var a, c bytes.Buffer
+	if _, err := aliased.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := copied.WriteTo(&c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("copied and aliased decodes re-encode differently")
+	}
+}
+
+// A host whose words are not little-endian 64-bit (big-endian) cannot alias
+// the blocks: ModelFromMapping must refuse with ErrNotMappable, which sends
+// store.OpenModel to the heap loader, and the heap decode must copy. This
+// test emulates the host's decision only; the byte order here stays little.
+func TestForeignHostWordsRefuseMappingAndCopy(t *testing.T) {
+	defer func(v bool) { wordsAliasable = v }(wordsAliasable)
+	wordsAliasable = false
+
+	m := syntheticModel(t, 22, []int{30, 20, 10}, []int{2, 2, 2})
+	data := encodeModel(t, m)
+	if _, err := ModelFromMapping(data); !errorIs(err, ErrNotMappable) {
+		t.Fatalf("err = %v, want ErrNotMappable", err)
+	}
+	heap, err := decodeModel(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, none := blocksWithin(heap, data); !none {
+		t.Fatal("blocks were aliased on a host that cannot alias them")
+	}
+	idx := []int{29, 19, 9}
+	if math.Float64bits(heap.Predict(idx)) != math.Float64bits(m.Predict(idx)) {
+		t.Fatal("copied decode predicts differently from the original")
+	}
+}
+
+// The heap readers read to EOF, so a v4 stream must end with its footer: a
+// missing footer, or bytes after "PTKX", is rejected rather than ignored.
+func TestReadModelRequiresFooterAtEnd(t *testing.T) {
+	data := encodeModel(t, syntheticModel(t, 23, []int{20, 16, 12}, []int{2, 2, 2}))
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"no footer", data[:len(data)-footerSize]},
+		{"trailing byte", append(append([]byte(nil), data...), 0)},
+		{"two streams", append(append([]byte(nil), data...), data...)},
+	} {
+		if _, err := ReadModel(bytes.NewReader(tc.b)); err == nil {
+			t.Fatalf("%s: stream accepted", tc.name)
+		}
 	}
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -38,11 +41,16 @@ func fuzzSeedModels(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzReadModel decodes arbitrary bytes as a model stream. Accepted inputs
-// must re-encode deterministically (decode∘encode is a fixed point after one
-// round trip) and rejected inputs must fail with an error — never a panic,
-// never an unbounded allocation from a hostile length prefix (the chunked
-// readers grow slices only as bytes actually arrive).
+// FuzzReadModel decodes arbitrary bytes as a model stream through both
+// entry points of the single decoder. Rejected inputs must fail with an
+// error — never a panic, never an allocation beyond the input's size from a
+// hostile length prefix (every count is checked against the bytes left
+// before anything is allocated). The entry points may disagree only where
+// their contracts differ: ModelFromMapping refuses pre-v4 streams
+// (ErrNotMappable), and only ReadModel verifies the main CRC, which alone
+// covers the bulk blocks (ErrModelChecksum). Accepted inputs must re-encode
+// identically from either decode, and deterministically (decode∘encode is a
+// fixed point after one round trip).
 func FuzzReadModel(f *testing.F) {
 	seeds := fuzzSeedModels(f)
 	for _, s := range seeds {
@@ -64,15 +72,54 @@ func FuzzReadModel(f *testing.F) {
 	}
 	f.Add([]byte("PTKM"))
 	f.Add([]byte{})
+	// The legacy branch: the checked-in v2 fixture and a v1 encoding.
+	v2, err := os.ReadFile("testdata/model_v2.ptkm")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	if len(seeds) > 0 {
+		m, err := ReadModel(bytes.NewReader(seeds[0]))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var v1 bytes.Buffer
+		if err := writeModelV1(m, &v1); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v1.Bytes())
+		// A flipped metadata-CRC byte: both entry points must refuse it.
+		metaFlip := append([]byte(nil), seeds[0]...)
+		metaFlip[len(metaFlip)-footerSize] ^= 0x01
+		f.Add(metaFlip)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m1, err := ReadModel(bytes.NewReader(data))
+		mapped, mapErr := ModelFromMapping(alignedCopy(data))
 		if err != nil {
+			if mapErr == nil && !errors.Is(err, ErrModelChecksum) {
+				t.Fatalf("ModelFromMapping accepted a stream ReadModel rejects with %v", err)
+			}
 			return // rejected: fine
 		}
 		var b1 bytes.Buffer
 		if _, err := m1.WriteTo(&b1); err != nil {
 			t.Fatalf("re-encoding a decoded model failed: %v", err)
+		}
+		switch {
+		case mapErr == nil:
+			var bm bytes.Buffer
+			if _, err := mapped.WriteTo(&bm); err != nil {
+				t.Fatalf("re-encoding the mapped model failed: %v", err)
+			}
+			if !bytes.Equal(bm.Bytes(), b1.Bytes()) {
+				t.Fatal("heap and mapped decodes re-encode differently")
+			}
+		case !errors.Is(mapErr, ErrNotMappable):
+			t.Fatalf("ReadModel accepted a stream ModelFromMapping rejects with %v", mapErr)
+		case wordsAliasable && binary.LittleEndian.Uint32(data[4:8]) >= 4:
+			t.Fatalf("aligned v4 stream not mappable: %v", mapErr)
 		}
 		m2, err := ReadModel(bytes.NewReader(b1.Bytes()))
 		if err != nil {

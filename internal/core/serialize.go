@@ -9,9 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
-
-	"repro/internal/mat"
 )
 
 // Model persistence: a versioned binary format so a factorization fitted on
@@ -34,7 +31,7 @@ import (
 //   - v3: appended Config.Sparsify to the config block, and prefixed the
 //     core record with a flags byte. Bit 0 states that the entries are in
 //     strictly increasing little-endian offset order (mode 0 fastest);
-//     WriteTo sets it exactly when that holds, and both readers reject a
+//     WriteTo sets it exactly when that holds, and the decoder rejects a
 //     stream whose entries break an order its bit claims. No other bit is
 //     defined. Dense cores carry the same dims/nnz/entries encoding as
 //     before, so a v2-era dense core round-trips bit-identically through
@@ -42,15 +39,15 @@ import (
 //   - v4: the mmap layout. The three bulk blocks — each factor's row-major
 //     float64 data, the core index list, and the core value list — are
 //     preceded by zero padding to an 8-byte stream offset, and core indices
-//     are stored as int64 (v1..v3 used uint32), so on a 64-bit machine every
-//     block can be served as a []float64 / []int aliasing the file mapping
-//     directly. After the main CRC the stream carries a footer: a second
-//     CRC-32 covering only the non-block bytes (config, shapes, padding,
-//     trace, summary), then the 4-byte footer magic "PTKX". An mmap opener
-//     (ModelFromMapping) validates that metadata CRC plus the blocks'
-//     bounds, so open cost is O(metadata + core nnz), independent of the
-//     factor bytes that dominate a large model. Streaming readers simply
-//     stop after the main CRC and never see the footer.
+//     are stored as int64 (v1..v3 used uint32), so on a little-endian 64-bit
+//     host every block can be served as a []float64 / []int aliasing the
+//     bytes it was read from. After the main CRC the stream carries a
+//     footer, which must end it: a second CRC-32 covering only the non-block
+//     bytes (config, shapes, padding, trace, summary), then the 4-byte footer
+//     magic "PTKX".
+//
+// One decoder, decodeModel in decode.go, reads every version from bytes
+// held in memory.
 //
 // Float64 values are stored as their IEEE-754 bit patterns, which makes a
 // save/load round trip bit-identical: a loaded model's Predict returns
@@ -61,8 +58,8 @@ const (
 	modelVersion = 4
 
 	// footerMagic closes a v4+ stream, after the metadata CRC. Its presence
-	// at the end of a file is how the mmap opener recognizes a mappable
-	// stream without parsing forward.
+	// at the end of the stream is how the decoder finds both CRCs without
+	// parsing forward.
 	footerMagic = "PTKX"
 
 	// footerSize is the v4 trailer past the main CRC: metaCRC u32 + magic.
@@ -72,11 +69,9 @@ const (
 	// corrupted or hostile file cannot claim an absurd element count.
 	maxModelSlice = 1 << 31
 
-	// readChunk is the element granularity of the bulk readers: slices are
-	// grown chunk-by-chunk as bytes actually arrive, so a hostile length
-	// prefix (a tiny file claiming 2³¹ entries) hits EOF after a bounded
-	// allocation instead of forcing gigabytes up front.
-	readChunk = 1 << 14
+	// writeChunk is the element count of writeIntsAsI64Block's staging
+	// buffer.
+	writeChunk = 1 << 14
 
 	// coreFlagSorted marks a v3+ core record whose entries are in strictly
 	// increasing little-endian offset order.
@@ -142,10 +137,10 @@ func (b *binWriter) writeBlock(v interface{}) {
 // writeIntsAsI64Block writes xs as an int64 block (no length prefix) in
 // bounded chunks.
 func (b *binWriter) writeIntsAsI64Block(xs []int) {
-	buf := make([]int64, 0, min(len(xs), readChunk))
-	for start := 0; start < len(xs) && b.err == nil; start += readChunk {
+	buf := make([]int64, 0, min(len(xs), writeChunk))
+	for start := 0; start < len(xs) && b.err == nil; start += writeChunk {
 		buf = buf[:0]
-		for _, x := range xs[start:min(start+readChunk, len(xs))] {
+		for _, x := range xs[start:min(start+writeChunk, len(xs))] {
 			buf = append(buf, int64(x))
 		}
 		b.writeBlock(buf)
@@ -159,137 +154,6 @@ func (b *binWriter) writeInts(xs []int) {
 	}
 }
 
-// countingReader tracks the number of bytes consumed from r, so the v4
-// decoder knows its stream offset and can skip alignment padding.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// binReader mirrors binWriter for decoding.
-type binReader struct {
-	r   io.Reader
-	err error
-}
-
-func (b *binReader) read(v interface{}) {
-	if b.err != nil {
-		return
-	}
-	b.err = binary.Read(b.r, binary.LittleEndian, v)
-}
-
-func (b *binReader) readLen(what string) int {
-	var n uint64
-	b.read(&n)
-	if b.err == nil && n > maxModelSlice {
-		b.err = fmt.Errorf("%w: %s length %d exceeds limit", ErrBadModelFormat, what, n)
-	}
-	if b.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (b *binReader) readInts(what string) []int {
-	n := b.readLen(what)
-	if b.err != nil {
-		return nil
-	}
-	xs := make([]int, 0, min(n, readChunk))
-	for i := 0; i < n && b.err == nil; i++ {
-		var v int64
-		b.read(&v)
-		xs = append(xs, int(v))
-	}
-	if b.err != nil {
-		return nil
-	}
-	return xs
-}
-
-// readFloats reads n float64 values in bounded chunks (see readChunk).
-func (b *binReader) readFloats(n int) []float64 {
-	out := make([]float64, 0, min(n, readChunk))
-	for len(out) < n && b.err == nil {
-		c := min(n-len(out), readChunk)
-		buf := make([]float64, c)
-		b.read(buf)
-		if b.err == nil {
-			out = append(out, buf...)
-		}
-	}
-	if b.err != nil {
-		return nil
-	}
-	return out
-}
-
-// readInt64s reads n int64 values in bounded chunks.
-func (b *binReader) readInt64s(n int) []int64 {
-	out := make([]int64, 0, min(n, readChunk))
-	for len(out) < n && b.err == nil {
-		c := min(n-len(out), readChunk)
-		buf := make([]int64, c)
-		b.read(buf)
-		if b.err == nil {
-			out = append(out, buf...)
-		}
-	}
-	if b.err != nil {
-		return nil
-	}
-	return out
-}
-
-// readI64sAsInts reads n int64 values (the v4 core index encoding) in
-// bounded chunks, narrowing to int.
-func (b *binReader) readI64sAsInts(n int) []int {
-	out := make([]int, 0, min(n, readChunk))
-	for len(out) < n && b.err == nil {
-		c := min(n-len(out), readChunk)
-		buf := make([]int64, c)
-		b.read(buf)
-		if b.err != nil {
-			break
-		}
-		for _, v := range buf {
-			out = append(out, int(v))
-		}
-	}
-	if b.err != nil {
-		return nil
-	}
-	return out
-}
-
-// readU32sAsInts reads n uint32 values (the v1..v3 core index encoding) in
-// bounded chunks, widening to int.
-func (b *binReader) readU32sAsInts(n int) []int {
-	out := make([]int, 0, min(n, readChunk))
-	for len(out) < n && b.err == nil {
-		c := min(n-len(out), readChunk)
-		buf := make([]uint32, c)
-		b.read(buf)
-		if b.err != nil {
-			break
-		}
-		for _, v := range buf {
-			out = append(out, int(v))
-		}
-	}
-	if b.err != nil {
-		return nil
-	}
-	return out
-}
-
 // WriteTo serializes the model in the versioned binary format, implementing
 // io.WriterTo. It returns the number of bytes written.
 func (m *Model) WriteTo(w io.Writer) (int64, error) {
@@ -301,7 +165,7 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 		blk: io.MultiWriter(cw, crc),
 	}
 	// pad advances the stream to the next 8-byte offset with zero bytes, so
-	// the block that follows can be aliased in place by the mmap reader. The
+	// the block that follows can be aliased in place by the decoder. The
 	// padding is metadata: both CRCs cover it.
 	pad := func() {
 		if p := int(-cw.n & 7); p > 0 && bw.err == nil {
@@ -378,9 +242,8 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	if err := binary.Write(cw, binary.LittleEndian, crc.Sum32()); err != nil {
 		return cw.n, err
 	}
-	// v4 footer: the metadata-only CRC plus the footer magic. Streaming
-	// readers stop at the main CRC and never consume these bytes; the mmap
-	// opener starts from them.
+	// v4 footer: the metadata-only CRC plus the footer magic, which ends the
+	// stream.
 	if err := binary.Write(cw, binary.LittleEndian, metaCRC.Sum32()); err != nil {
 		return cw.n, err
 	}
@@ -388,186 +251,6 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	return cw.n, nil
-}
-
-// ReadModel decodes a model previously written by Model.WriteTo. It verifies
-// the magic, the format version, and the trailing CRC-32, and reconstructs
-// factors and core bit-identically: predictions from the loaded model equal
-// the saved model's exactly. The decoded Config has a nil OnIteration hook.
-func ReadModel(r io.Reader) (*Model, error) {
-	crc := crc32.NewIEEE()
-	cr := &countingReader{r: r}
-	br := &binReader{r: io.TeeReader(cr, crc)}
-
-	magic := make([]byte, len(modelMagic))
-	br.read(magic)
-	if br.err == nil && string(magic) != modelMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadModelFormat, magic)
-	}
-	var version uint32
-	br.read(&version)
-	if br.err == nil && (version < 1 || version > modelVersion) {
-		return nil, fmt.Errorf("%w: got v%d, want v1..v%d", ErrModelVersion, version, modelVersion)
-	}
-	// pad consumes the v4 alignment padding before a block, requiring the
-	// bytes to be zero (anything else is not a stream WriteTo produced).
-	pad := func(before string) {
-		if version < 4 || br.err != nil {
-			return
-		}
-		if p := int(-cr.n & 7); p > 0 {
-			zeros := make([]byte, p)
-			br.read(zeros)
-			for _, z := range zeros {
-				if br.err == nil && z != 0 {
-					br.err = fmt.Errorf("%w: nonzero padding before %s", ErrBadModelFormat, before)
-				}
-			}
-		}
-	}
-
-	var c Config
-	c.Ranks = br.readInts("config ranks")
-	br.read(&c.Lambda)
-	var maxIters, threads, method, sched, chunk int64
-	br.read(&maxIters)
-	br.read(&c.Tol)
-	br.read(&threads)
-	br.read(&method)
-	br.read(&c.TruncationRate)
-	br.read(&sched)
-	br.read(&c.Seed)
-	c.UpdateCore = readBool(br)
-	br.read(&chunk)
-	br.read(&c.SampleRate)
-	if version >= 3 {
-		br.read(&c.Sparsify)
-	}
-	c.MaxIters = int(maxIters)
-	c.Threads = int(threads)
-	c.Method = Method(method)
-	c.Scheduling = Scheduling(sched)
-	c.ChunkSize = int(chunk)
-
-	nFactors := br.readLen("factor count")
-	factors := make([]*mat.Dense, 0, min(nFactors, readChunk))
-	for k := 0; k < nFactors && br.err == nil; k++ {
-		var rows, cols uint64
-		br.read(&rows)
-		br.read(&cols)
-		if br.err == nil && (rows > maxModelSlice || cols > maxModelSlice || rows*cols > maxModelSlice) {
-			br.err = fmt.Errorf("%w: factor %d shape %dx%d exceeds limit", ErrBadModelFormat, k, rows, cols)
-			break
-		}
-		pad("factor data")
-		data := br.readFloats(int(rows * cols))
-		if br.err == nil {
-			factors = append(factors, mat.NewDenseData(int(rows), int(cols), data))
-		}
-	}
-
-	var coreFlags uint8
-	if version >= 3 {
-		br.read(&coreFlags)
-		if br.err == nil && coreFlags&^uint8(coreFlagSorted) != 0 {
-			return nil, fmt.Errorf("%w: unknown core flags %#x", ErrBadModelFormat, coreFlags)
-		}
-	}
-	g := &CoreTensor{dims: br.readInts("core dims")}
-	order := len(g.dims)
-	nnz := br.readLen("core nnz")
-	if br.err == nil && (order != nFactors || nnz*order > maxModelSlice) {
-		return nil, fmt.Errorf("%w: core order %d / nnz %d inconsistent with %d factors",
-			ErrBadModelFormat, order, nnz, nFactors)
-	}
-	if br.err == nil {
-		pad("core indices")
-		if version >= 4 {
-			g.idx = br.readI64sAsInts(nnz * order)
-		} else {
-			g.idx = br.readU32sAsInts(nnz * order)
-		}
-		g.val = br.readFloats(nnz)
-	}
-
-	nTrace := br.readLen("trace length")
-	trace := make([]IterStats, 0, min(nTrace, readChunk))
-	for i := 0; i < nTrace && br.err == nil; i++ {
-		var it IterStats
-		var iter, elapsed, coreNNZ int64
-		br.read(&iter)
-		br.read(&it.Error)
-		br.read(&elapsed)
-		br.read(&coreNNZ)
-		it.Iter = int(iter)
-		it.Elapsed = time.Duration(elapsed)
-		it.CoreNNZ = int(coreNNZ)
-		if br.err == nil {
-			trace = append(trace, it)
-		}
-	}
-
-	m := &Model{Factors: factors, Core: g, Config: c, Trace: trace}
-	m.Converged = readBool(br)
-	br.read(&m.TrainError)
-	br.read(&m.IntermediateBytes)
-	if version >= 2 {
-		var finalCoreNNZ int64
-		br.read(&finalCoreNNZ)
-		m.FinalCoreNNZ = int(finalCoreNNZ)
-	}
-	nWork := br.readLen("work-per-thread length")
-	if br.err == nil {
-		m.WorkPerThread = br.readInt64s(nWork)
-	}
-
-	if br.err != nil {
-		if errors.Is(br.err, io.EOF) || errors.Is(br.err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: truncated stream: %v", ErrBadModelFormat, br.err)
-		}
-		return nil, br.err
-	}
-
-	sum := crc.Sum32() // everything decoded so far; the trailer is outside the CRC
-	var want uint32
-	if err := binary.Read(cr, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadModelFormat, err)
-	}
-	if want != sum {
-		return nil, fmt.Errorf("%w: got %08x, want %08x", ErrModelChecksum, sum, want)
-	}
-
-	if err := checkDecoded(factors, g, coreFlags); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// checkDecoded is the structural check both readers run once a stream's
-// checksums pass, so a corrupt-but-checksummed (or crafted) file fails at
-// load time instead of panicking inside a serve-path kernel: factor k must
-// have exactly dims[k] columns, every core entry index must address a valid
-// column, and a set sorted bit in flags must hold.
-func checkDecoded(factors []*mat.Dense, g *CoreTensor, flags uint8) error {
-	for k, a := range factors {
-		if a.Cols() != g.dims[k] {
-			return fmt.Errorf("%w: factor %d has %d columns but core dim is %d",
-				ErrBadModelFormat, k, a.Cols(), g.dims[k])
-		}
-	}
-	order := len(g.dims)
-	for e := range g.val {
-		for k := 0; k < order; k++ {
-			if i := g.idx[e*order+k]; i < 0 || i >= g.dims[k] {
-				return fmt.Errorf("%w: core entry %d mode %d index %d out of range [0,%d)",
-					ErrBadModelFormat, e, k, i, g.dims[k])
-			}
-		}
-	}
-	if flags&coreFlagSorted != 0 && !g.offsetSorted() {
-		return fmt.Errorf("%w: core flags claim offset order but the entries break it", ErrBadModelFormat)
-	}
-	return nil
 }
 
 // SaveModel writes the model to path atomically: it serializes into a
@@ -599,29 +282,9 @@ func SaveModel(path string, m *Model) error {
 	return nil
 }
 
-// LoadModel reads a model previously written by SaveModel (or Model.WriteTo).
-func LoadModel(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load model: %w", err)
-	}
-	defer f.Close()
-	m, err := ReadModel(bufio.NewReader(f))
-	if err != nil {
-		return nil, fmt.Errorf("core: load model %s: %w", path, err)
-	}
-	return m, nil
-}
-
 func boolByte(b bool) uint8 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func readBool(br *binReader) bool {
-	var v uint8
-	br.read(&v)
-	return v != 0
 }

@@ -2,14 +2,19 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzObserveDecode drives the /v1/observe decode path: arbitrary bytes are
 // parsed as the request JSON and planned against a fixed 3x4x5 model shape.
 // A plan that comes back must account for every observation exactly once,
 // with fold-ins arriving in contiguous next-slice order per mode — the same
-// invariants applyPlan relies on to mutate the fitter without bounds checks.
+// invariants applyPlan relies on to mutate the fitter without bounds checks
+// — and must carry finite values only: a NaN or ±Inf that got this far
+// would reach the journal and the fit.
 func FuzzObserveDecode(f *testing.F) {
 	f.Add([]byte(`{"observations":[{"index":[0,1,2],"value":1.5}]}`))
 	f.Add([]byte(`{"observations":[]}`))
@@ -25,9 +30,18 @@ func FuzzObserveDecode(f *testing.F) {
 		if err != nil {
 			return // rejected batch: fine
 		}
+		finite := func(where string, obs []core.Observation) {
+			for _, o := range obs {
+				if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+					t.Fatalf("plan %s carry non-finite value %v at %v", where, o.Value, o.Index)
+				}
+			}
+		}
+		finite("appends", plan.appends)
 		placed := len(plan.appends)
 		sim := append([]int(nil), dims...)
 		for _, g := range plan.folds {
+			finite("fold groups", g.obs)
 			if g.mode < 0 || g.mode >= len(dims) {
 				t.Fatalf("fold group targets mode %d of a %d-mode model", g.mode, len(dims))
 			}

@@ -207,13 +207,14 @@ type Options struct {
 	// opt-in and should not be enabled without a token off-localhost.
 	Pprof bool
 	// Mmap serves model files from read-only memory mappings when the file
-	// and platform allow it (v4 format, 64-bit unix): the factor matrices and
-	// core value block alias the mapping, so opening costs O(metadata) and the
-	// heap never holds a copy of the model payload. Files the mapper cannot
-	// serve (old versions, non-unix builds) silently fall back to the heap
-	// loader; corrupt files fail either way. Mapped sources stay mapped until
-	// the Server closes — the online paths clone before mutating, so a mapped
-	// snapshot is never written through.
+	// and platform allow it (v4 format, little-endian 64-bit unix): the factor
+	// matrices and core entries alias the mapping, so opening costs
+	// O(metadata) and the heap never holds a copy of the model payload. Files
+	// the mapper cannot serve (old versions, big-endian hosts, non-unix
+	// builds) silently fall back to the heap loader; corrupt files fail
+	// either way. Mapped sources stay mapped until the Server closes — the
+	// online paths clone before mutating, so a mapped snapshot is never
+	// written through.
 	Mmap bool
 }
 
@@ -294,7 +295,7 @@ type Server struct {
 	// page-cache-cheap — so Close is the single unmap point. srcMu is a leaf
 	// lock (innermost in the hierarchy above).
 	srcMu sync.Mutex
-	srcs  []store.ModelSource
+	srcs  []*store.ModelSource
 
 	// repl is the replication state: stream identity and applied-sequence
 	// tracking on a primary, the tailing loop's handles on a follower. See

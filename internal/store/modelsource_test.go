@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mat"
-	"repro/internal/tensor"
 )
 
 // benchModel builds a servable model without fitting: rows scales factor 0
@@ -49,13 +48,13 @@ func TestMmapModelBitIdenticalToHeap(t *testing.T) {
 	}
 	path := saveBenchModel(t, 4096)
 
-	src, err := MmapModel(path)
+	src, err := OpenModel(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
 	if !src.Mapped() || src.MappedBytes() <= 0 {
-		t.Fatalf("MmapModel: mapped=%v bytes=%d", src.Mapped(), src.MappedBytes())
+		t.Fatalf("OpenModel: mapped=%v bytes=%d", src.Mapped(), src.MappedBytes())
 	}
 	heap, err := core.LoadModel(path)
 	if err != nil {
@@ -135,63 +134,6 @@ func TestOpenModelFallbackAndVerdicts(t *testing.T) {
 	}
 }
 
-func TestMmapTensorServesValuesInPlace(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("platform has no mmap")
-	}
-	rng := rand.New(rand.NewSource(79))
-	x := randomCoord(rng, []int{50, 40, 30}, 2000)
-	path := filepath.Join(t.TempDir(), "holdout.ptkt")
-	if err := tensor.WriteBinaryFile(path, x); err != nil {
-		t.Fatal(err)
-	}
-
-	src, err := MmapTensor(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if src.MappedBytes() <= 0 {
-		t.Fatalf("MappedBytes = %d, want > 0", src.MappedBytes())
-	}
-	got := src.Tensor()
-	if got.NNZ() != x.NNZ() {
-		t.Fatalf("nnz %d want %d", got.NNZ(), x.NNZ())
-	}
-	for e := 0; e < x.NNZ(); e++ {
-		if math.Float64bits(got.Value(e)) != math.Float64bits(x.Value(e)) {
-			t.Fatalf("value %d changed: %v vs %v", e, got.Value(e), x.Value(e))
-		}
-		for k, i := range x.Index(e) {
-			if got.Index(e)[k] != i {
-				t.Fatalf("index %d mode %d changed", e, k)
-			}
-		}
-	}
-
-	// A text tensor must be refused, not misparsed.
-	text := filepath.Join(t.TempDir(), "holdout.tns")
-	if err := os.WriteFile(text, []byte("1 1 1 0.5\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MmapTensor(text); err == nil {
-		t.Fatal("text tensor accepted by MmapTensor")
-	}
-
-	// Truncation is caught by the CRC/bounds check at open.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(t.TempDir(), "trunc.ptkt")
-	if err := os.WriteFile(trunc, raw[:len(raw)-8], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MmapTensor(trunc); err == nil {
-		t.Fatal("truncated tensor accepted by MmapTensor")
-	}
-}
-
 // BenchmarkMmapModelOpen is the acceptance benchmark: opening a mapped
 // model must cost the same regardless of model size (the metadata, not the
 // factor bytes, is what the opener touches), while the heap decode below
@@ -206,9 +148,12 @@ func BenchmarkMmapModelOpen(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src, err := MmapModel(path)
+				src, err := OpenModel(path, true)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if !src.Mapped() {
+					b.Fatal("OpenModel fell back to the heap loader")
 				}
 				src.Close()
 			}

@@ -22,6 +22,10 @@
 // Dir ties the two together as a data directory with well-known file names;
 // it implements core.TrainingStore, so a Fitter can attach the persisted
 // training set directly (Fitter.AttachStore).
+//
+// OpenModel opens a saved model for serving: in place out of a read-only
+// file mapping where the file and host allow it, on the heap otherwise. The
+// ModelSource it returns owns the mapping's lifetime.
 package store
 
 import (

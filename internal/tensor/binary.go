@@ -16,8 +16,8 @@ import (
 // parsed line-by-line, field-by-field, on every start. The binary format
 // stores the same coordinate data as fixed-width little-endian records —
 // one u32 per coordinate, one IEEE-754 f64 bit pattern per value — so a
-// loader moves whole blocks instead of parsing, and a mapped file could be
-// consumed in place (the value block is 8-byte aligned).
+// loader moves whole blocks instead of parsing. The value block is 8-byte
+// aligned within the stream.
 //
 // Layout (version 1, little-endian throughout):
 //

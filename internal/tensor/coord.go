@@ -44,33 +44,6 @@ func NewCoord(dims []int) *Coord {
 	return &Coord{dims: d}
 }
 
-// NewCoordData builds a sparse tensor directly over caller-provided flat
-// storage, without copying: indices is the entry-major coordinate list
-// (len = nnz·N) and values the matching value list. The slices are adopted
-// as-is — callers serving a read-only mapping in place (store.MmapTensor)
-// rely on that — so they must not be mutated through the tensor afterwards.
-// Index ranges are validated against dims up front, the same guarantee
-// Append gives entry by entry.
-func NewCoordData(dims, indices []int, values []float64) (*Coord, error) {
-	t := NewCoord(dims)
-	n := len(dims)
-	if len(indices) != len(values)*n {
-		return nil, fmt.Errorf("tensor: %d indices do not cover %d entries of order %d",
-			len(indices), len(values), n)
-	}
-	for e := range values {
-		for k := 0; k < n; k++ {
-			if i := indices[e*n+k]; i < 0 || i >= dims[k] {
-				return nil, fmt.Errorf("%w: entry %d mode %d index %d exceeds dimension %d",
-					ErrDimension, e, k, i, dims[k])
-			}
-		}
-	}
-	t.indices = indices
-	t.values = values
-	return t, nil
-}
-
 // Order returns the number of modes N.
 func (t *Coord) Order() int { return len(t.dims) }
 

@@ -199,7 +199,8 @@ func SaveModel(path string, m *Model) error { return core.SaveModel(path, m) }
 func LoadModel(path string) (*Model, error) { return core.LoadModel(path) }
 
 // ReadModel decodes a model from a stream previously produced by
-// Model.WriteTo (the streaming counterpart of LoadModel).
+// Model.WriteTo (the io.Reader counterpart of LoadModel). It reads r to EOF:
+// the stream must hold exactly one model.
 func ReadModel(r io.Reader) (*Model, error) { return core.ReadModel(r) }
 
 // Predictor is an immutable, goroutine-safe serving handle over a fitted

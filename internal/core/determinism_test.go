@@ -163,3 +163,55 @@ func TestWorkPerThreadSumsAcrossModes(t *testing.T) {
 			sum, wantSum)
 	}
 }
+
+// The reported errors must not depend on the thread count either: the
+// Tol stop and Sparsify's budget probes compare them, so T=1 and T=4 must
+// agree to the last bit on every Trace error and on TrainError, whichever
+// way the iteration measured its error (derived from the last mode's row
+// solves, or the exact pass the sampling extension and the core update
+// take). The core update's own sums must not depend on threads either, or
+// its core, and with it the model, would not.
+func TestErrorsBitIdenticalAcrossThreads(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	x := uniformTensor(rng, []int{300, 200, 100}, 20000)
+	configs := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"plain", func(*Config) {}},
+		{"cache", func(c *Config) { c.Method = PTuckerCache }},
+		{"approx", func(c *Config) { c.Method = PTuckerApprox }},
+		{"sampled", func(c *Config) { c.SampleRate = 0.5 }},
+		{"update-core", func(c *Config) { c.UpdateCore = true }},
+	}
+	for _, tc := range configs {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref *Model
+			for threads := 1; threads <= 4; threads++ {
+				cfg := smallConfig([]int{4, 4, 4})
+				cfg.MaxIters = 3
+				cfg.Threads = threads
+				tc.mut(&cfg)
+				m, err := DecomposeContext(context.Background(), x, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = m
+					continue
+				}
+				if !modelsBitIdentical(ref, m) {
+					t.Fatalf("T=1 and T=%d fitted different models", threads)
+				}
+				for i := range ref.Trace {
+					if a, b := ref.Trace[i].Error, m.Trace[i].Error; math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("iteration %d error at T=1 %.17g, at T=%d %.17g", i+1, a, threads, b)
+					}
+				}
+				if a, b := ref.TrainError, m.TrainError; math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("TrainError at T=1 %.17g, at T=%d %.17g", a, threads, b)
+				}
+			}
+		})
+	}
+}

@@ -76,16 +76,23 @@ func runIndexed(threads int, sched Scheduling, chunk int, n int, fn func(tid, it
 	return counts
 }
 
-// parallelSum evaluates fn for every item in [0,n) and returns the sum of the
-// per-thread partial results; used for the parallel reconstruction-error pass
-// (Section III-D, "Section 3").
+// sumBlock is the number of consecutive items parallelSum adds up before it
+// starts a new partial sum.
+const sumBlock = 1024
+
+// parallelSum evaluates fn for every item in [0,n) and returns their sum; it
+// runs the parallel reconstruction-error pass (Section III-D) and the core
+// update's numerators. The items of each fixed block of sumBlock are added in
+// order, then the blocks' sums in block order. The blocks do not depend on
+// threads, so neither does any bit of the sum.
 func parallelSum(threads, n int, fn func(tid, item int) float64) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	partial := make([]float64, threads)
-	runIndexed(threads, ScheduleStatic, 1, n, func(tid, item int) {
-		partial[tid] += fn(tid, item)
+	partial := make([]float64, (n+sumBlock-1)/sumBlock)
+	runIndexed(threads, ScheduleStatic, 1, len(partial), func(tid, blk int) {
+		var s float64
+		for i := blk * sumBlock; i < min((blk+1)*sumBlock, n); i++ {
+			s += fn(tid, i)
+		}
+		partial[blk] = s
 	})
 	var s float64
 	for _, p := range partial {

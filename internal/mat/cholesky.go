@@ -10,17 +10,34 @@ import "math"
 // option.
 type Cholesky struct {
 	n int
-	l []float64 // row-major lower triangle, full n x n storage
+	l []float64 // row-major lower triangle in n x n storage; the upper part is never read
 }
 
 // NewCholesky factorizes the SPD matrix a. It returns ErrNotSPD if a is not
 // (numerically) symmetric positive definite. a is not modified.
 func NewCholesky(a *Dense) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factorize(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Factorize computes the factor of the SPD matrix a into c, reusing c's
+// storage when it is large enough, so a solver called once per row (the
+// P-Tucker row update) holds one factor instead of allocating one per
+// solve. It returns ErrShape or ErrNotSPD like NewCholesky; after an error
+// c holds no usable factor. a is not modified.
+func (c *Cholesky) Factorize(a *Dense) error {
 	if a.rows != a.cols {
-		return nil, ErrShape
+		return ErrShape
 	}
 	n := a.rows
-	l := make([]float64, n*n)
+	if cap(c.l) < n*n {
+		c.l = make([]float64, n*n)
+	}
+	c.n, c.l = n, c.l[:n*n]
+	l := c.l
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			sum := a.At(i, j)
@@ -29,7 +46,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotSPD
+					return ErrNotSPD
 				}
 				l[i*n+i] = math.Sqrt(sum)
 			} else {
@@ -37,7 +54,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			}
 		}
 	}
-	return &Cholesky{n: n, l: l}, nil
+	return nil
 }
 
 // SolveVec solves A*x = b for x, overwriting and returning x in a new slice.

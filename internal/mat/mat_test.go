@@ -307,6 +307,41 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	}
 }
 
+// One Cholesky refactorized across systems of different sizes, including
+// after a rejected one, must solve bit-identically to a fresh NewCholesky and
+// stop allocating once its storage has grown to the largest size.
+func TestCholeskyFactorizeReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var ch Cholesky
+	for _, n := range []int{6, 2, 9, 1, 9, 4} {
+		a := randomSPD(rng, n)
+		if err := ch.Factorize(NewDenseData(2, 2, []float64{1, 2, 2, 1})); err != ErrNotSPD {
+			t.Fatalf("n=%d: non-SPD err = %v want ErrNotSPD", n, err)
+		}
+		if err := ch.Factorize(a); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		fresh, err := NewCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		got, want := ch.SolveVec(b), fresh.SolveVec(b)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: reused factor solves x[%d] = %v, fresh %v", n, i, got[i], want[i])
+			}
+		}
+	}
+	a := randomSPD(rng, 8)
+	if allocs := testing.AllocsPerRun(20, func() { _ = ch.Factorize(a) }); allocs != 0 {
+		t.Fatalf("refactorizing into grown storage allocates %v times", allocs)
+	}
+}
+
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomSPD(rng, 6)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,8 +82,8 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 // TestBinaryLoadSpeedup pins the acceptance criterion that loading the
 // synthetic benchmark tensor from the binary snapshot is at least 5× faster
-// than the text loader. Each loader's time is the best of three runs to damp
-// scheduler noise; the real ratio is typically well above 10×.
+// than the text loader. Each loader's time is its best of three alternating
+// rounds to damp scheduler noise; the real ratio is typically well above 10×.
 func TestBinaryLoadSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -100,28 +101,29 @@ func TestBinaryLoadSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	best := func(load func() error) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if err := load(); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
+	// The loaders alternate round by round, so a burst of contention from
+	// whatever else runs on the machine slows both instead of one; each
+	// keeps its best round. A collection before each load keeps one
+	// loader's garbage off the other's clock.
+	timed := func(load func() error) time.Duration {
+		runtime.GC()
+		start := time.Now()
+		if err := load(); err != nil {
+			t.Fatal(err)
 		}
-		return bestD
+		return time.Since(start)
 	}
-
-	textTime := best(func() error {
-		_, err := tensor.Read(bytes.NewReader(tb.Bytes()), 3, x.Dims())
-		return err
-	})
-	binTime := best(func() error {
-		_, err := tensor.ReadBinary(bytes.NewReader(bb.Bytes()), 3, x.Dims())
-		return err
-	})
+	textTime, binTime := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for round := 0; round < 3; round++ {
+		textTime = min(textTime, timed(func() error {
+			_, err := tensor.Read(bytes.NewReader(tb.Bytes()), 3, x.Dims())
+			return err
+		}))
+		binTime = min(binTime, timed(func() error {
+			_, err := tensor.ReadBinary(bytes.NewReader(bb.Bytes()), 3, x.Dims())
+			return err
+		}))
+	}
 
 	ratio := float64(textTime) / float64(binTime)
 	t.Logf("text %v, binary %v — %.1fx", textTime, binTime, ratio)

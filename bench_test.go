@@ -302,23 +302,3 @@ func BenchmarkReconstructionError(b *testing.B) {
 		_ = m.ReconstructionError(data.X)
 	}
 }
-
-// BenchmarkCoreUpdateExtension measures the optional element-wise core
-// refinement (an ablation of the Config.UpdateCore extension).
-func BenchmarkCoreUpdateExtension(b *testing.B) {
-	mcfg := synth.DefaultMovieLensConfig()
-	mcfg.NNZ = 4000
-	data := synth.MovieLens(mcfg)
-	cfg := Defaults([]int{3, 3, 3, 3})
-	cfg.MaxIters = 2
-	cfg.Tol = 0
-	cfg.UpdateCore = true
-	cfg.Seed = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecomposeContext(context.Background(), data.X, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -143,22 +143,3 @@ func TestMethodsAgreeOnFullyObservedLowRank(t *testing.T) {
 		t.Fatalf("S-HOT and Tucker-CSF diverge on identical mathematics: Δ=%v", d)
 	}
 }
-
-// TestSamplingFacade exercises the sampling extension through the public
-// Config.
-func TestSamplingFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	x := synth.PlantedTucker(rng, []int{15, 15, 15}, []int{2, 2, 2}, 1500, 0.02)
-	cfg := Defaults([]int{2, 2, 2})
-	cfg.MaxIters = 5
-	cfg.SampleRate = 0.5
-	cfg.Threads = 2
-	cfg.Seed = 4
-	m, err := DecomposeContext(context.Background(), x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Fit(x) < 0.8 {
-		t.Fatalf("sampled fit %v too low", m.Fit(x))
-	}
-}

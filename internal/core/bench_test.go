@@ -2,7 +2,7 @@ package core
 
 // Ablation micro-benchmarks for the reproduction's design choices:
 // plain vs cached δ computation, core truncation cost, dynamic vs static
-// scheduling, the sampling extension, and the parallel error pass.
+// scheduling, and the parallel error pass.
 
 import (
 	"context"
@@ -59,20 +59,6 @@ func BenchmarkIterationCache(b *testing.B) {
 func BenchmarkIterationApprox(b *testing.B) {
 	x := benchTensor(b)
 	cfg := benchConfig(PTuckerApprox)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecomposeContext(context.Background(), x, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIterationSampled measures the sampling extension at 50%.
-func BenchmarkIterationSampled(b *testing.B) {
-	x := benchTensor(b)
-	cfg := benchConfig(PTucker)
-	cfg.SampleRate = 0.5
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

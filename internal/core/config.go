@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/tensor"
@@ -95,23 +96,6 @@ type Config struct {
 	// Seed drives the random initialization of factors and core; runs with
 	// equal seeds are bit-for-bit reproducible.
 	Seed int64
-	// UpdateCore, when true, adds an element-wise coordinate-descent sweep
-	// over core entries after the factor updates of each iteration. This is
-	// an extension beyond the published Algorithm 2 (which leaves the core
-	// at its random initialization until the final QR rotation); it
-	// typically improves fit at an O(N·|Ω|·|G|) per-iteration cost.
-	UpdateCore bool
-	// ChunkSize is the dynamic-scheduling chunk (rows per grab). Zero means
-	// an adaptive default.
-	ChunkSize int
-	// SampleRate, when in (0,1), makes each row update use only that
-	// fraction of its observed entries Ω(n)[in] (a deterministic stride
-	// subsample), accelerating updates at a small accuracy cost. This
-	// implements the sampling extension the paper lists as future work
-	// ("applying sampling techniques on observable entries to accelerate
-	// decompositions, while sacrificing little accuracy"); zero disables it.
-	// Error measurement always uses all observed entries.
-	SampleRate float64
 	// Sparsify, when positive, prunes low-responsibility core entries after
 	// the QR finalization (VeST-style; see PAPERS.md): live entries are
 	// ranked by partial reconstruction error R(β) (Eq. 13, most-hurtful
@@ -169,21 +153,22 @@ var ErrStopIteration = errors.New("core: stop iteration")
 var (
 	ErrNoRanks        = errors.New("core: config has no ranks")
 	ErrBadRank        = errors.New("core: ranks must be positive")
-	ErrBadLambda      = errors.New("core: lambda must be non-negative")
+	ErrBadLambda      = errors.New("core: lambda must be finite and non-negative")
 	ErrBadIters       = errors.New("core: max iterations must be positive")
-	ErrBadTruncation  = errors.New("core: truncation rate must lie in (0,1)")
+	ErrBadTol         = errors.New("core: tolerance must be finite and non-negative")
+	ErrBadTruncation  = errors.New("core: truncation rate must be finite and lie in (0,1)")
 	ErrOrderMismatch  = errors.New("core: tensor order does not match number of ranks")
 	ErrEmptyTensor    = errors.New("core: tensor has no observed entries")
 	ErrRankExceedsDim = errors.New("core: rank exceeds the matching tensor dimensionality")
-	ErrBadSampleRate  = errors.New("core: sample rate must lie in [0,1)")
 	ErrBadSparsify    = errors.New("core: invalid sparsify option")
 )
 
 // Validate checks the configuration against a tensor of the given shape and
-// returns a normalized copy with zero-valued knobs (Threads, ChunkSize)
-// resolved to their defaults. It is pure: the receiver — including its Ranks
-// slice — is never modified, so a caller's Config can be reused and compared
-// across fits without surprise rewrites.
+// returns a normalized copy with a zero Threads resolved to its default. It
+// is pure: the receiver — including its Ranks slice — is never modified, so
+// a caller's Config can be reused and compared across fits without surprise
+// rewrites. Every float knob must be finite: a NaN slips past any range
+// comparison, and configs also arrive inside model files (ResumeFitter).
 func (c Config) Validate(dims []int) (Config, error) {
 	if len(c.Ranks) == 0 {
 		return c, ErrNoRanks
@@ -199,20 +184,20 @@ func (c Config) Validate(dims []int) (Config, error) {
 			return c, fmt.Errorf("%w: J%d = %d > I%d = %d", ErrRankExceedsDim, n+1, j, n+1, dims[n])
 		}
 	}
-	if c.Lambda < 0 {
+	if !finite(c.Lambda) || c.Lambda < 0 {
 		return c, fmt.Errorf("%w: %v", ErrBadLambda, c.Lambda)
 	}
 	if c.MaxIters <= 0 {
 		return c, fmt.Errorf("%w: %d", ErrBadIters, c.MaxIters)
 	}
-	if c.Method == PTuckerApprox && (c.TruncationRate <= 0 || c.TruncationRate >= 1) {
+	if !finite(c.Tol) || c.Tol < 0 {
+		return c, fmt.Errorf("%w: %v", ErrBadTol, c.Tol)
+	}
+	if !finite(c.TruncationRate) || c.Method == PTuckerApprox && (c.TruncationRate <= 0 || c.TruncationRate >= 1) {
 		return c, fmt.Errorf("%w: p = %v", ErrBadTruncation, c.TruncationRate)
 	}
-	if c.SampleRate < 0 || c.SampleRate >= 1 {
-		return c, fmt.Errorf("%w: %v", ErrBadSampleRate, c.SampleRate)
-	}
-	if c.Sparsify < 0 {
-		return c, fmt.Errorf("%w: budget %v must be non-negative", ErrBadSparsify, c.Sparsify)
+	if !finite(c.Sparsify) || c.Sparsify < 0 {
+		return c, fmt.Errorf("%w: budget %v must be finite and non-negative", ErrBadSparsify, c.Sparsify)
 	}
 	if h := c.SparsifyHoldout; h != nil {
 		if h.Order() != len(dims) {
@@ -229,8 +214,8 @@ func (c Config) Validate(dims []int) (Config, error) {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 8
-	}
 	return c, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

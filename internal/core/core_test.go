@@ -93,9 +93,19 @@ func TestConfigValidate(t *testing.T) {
 		{"zero rank", func(c *Config) { c.Ranks[1] = 0 }, ErrBadRank},
 		{"rank over dim", func(c *Config) { c.Ranks[0] = 11 }, ErrRankExceedsDim},
 		{"negative lambda", func(c *Config) { c.Lambda = -1 }, ErrBadLambda},
+		{"NaN lambda", func(c *Config) { c.Lambda = math.NaN() }, ErrBadLambda},
+		{"+Inf lambda", func(c *Config) { c.Lambda = math.Inf(1) }, ErrBadLambda},
 		{"zero iters", func(c *Config) { c.MaxIters = 0 }, ErrBadIters},
+		{"negative tol", func(c *Config) { c.Tol = -1e-4 }, ErrBadTol},
+		{"NaN tol", func(c *Config) { c.Tol = math.NaN() }, ErrBadTol},
+		{"+Inf tol", func(c *Config) { c.Tol = math.Inf(1) }, ErrBadTol},
 		{"bad truncation", func(c *Config) { c.Method = PTuckerApprox; c.TruncationRate = 0 }, ErrBadTruncation},
 		{"truncation one", func(c *Config) { c.Method = PTuckerApprox; c.TruncationRate = 1 }, ErrBadTruncation},
+		{"NaN truncation", func(c *Config) { c.Method = PTuckerApprox; c.TruncationRate = math.NaN() }, ErrBadTruncation},
+		{"-Inf truncation", func(c *Config) { c.TruncationRate = math.Inf(-1) }, ErrBadTruncation},
+		{"negative sparsify", func(c *Config) { c.Sparsify = -0.1 }, ErrBadSparsify},
+		{"NaN sparsify", func(c *Config) { c.Sparsify = math.NaN() }, ErrBadSparsify},
+		{"+Inf sparsify", func(c *Config) { c.Sparsify = math.Inf(1) }, ErrBadSparsify},
 	}
 	for _, tc := range cases {
 		cfg := Defaults([]int{2, 2, 2})
@@ -108,14 +118,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("%s: err = %v want %v", tc.name, err, tc.want)
 		}
 	}
-	// A valid config comes back with Threads and ChunkSize normalized.
+	// A valid config comes back with Threads normalized.
 	cfg := Defaults([]int{2, 2, 2})
 	norm, err := cfg.Validate(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.Threads < 1 || norm.ChunkSize < 1 {
-		t.Fatalf("defaults not normalized: T=%d chunk=%d", norm.Threads, norm.ChunkSize)
+	if norm.Threads < 1 {
+		t.Fatalf("defaults not normalized: T=%d", norm.Threads)
 	}
 }
 
@@ -126,8 +136,8 @@ func TestConfigValidatePure(t *testing.T) {
 		Ranks:    []int{3, 2, 4},
 		Lambda:   0.5,
 		MaxIters: 7,
-		// Threads and ChunkSize deliberately zero: the old API normalized
-		// them in place on the caller's struct.
+		// Threads deliberately zero: the old API normalized it in place on
+		// the caller's struct.
 	}
 	ranksBefore := append([]int(nil), cfg.Ranks...)
 
@@ -135,11 +145,11 @@ func TestConfigValidatePure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Threads != 0 || cfg.ChunkSize != 0 {
-		t.Fatalf("Validate mutated the caller's config: T=%d chunk=%d", cfg.Threads, cfg.ChunkSize)
+	if cfg.Threads != 0 {
+		t.Fatalf("Validate mutated the caller's config: T=%d", cfg.Threads)
 	}
-	if norm.Threads < 1 || norm.ChunkSize < 1 {
-		t.Fatalf("normalized copy missing defaults: T=%d chunk=%d", norm.Threads, norm.ChunkSize)
+	if norm.Threads < 1 {
+		t.Fatalf("normalized copy missing defaults: T=%d", norm.Threads)
 	}
 	// The normalized copy must not alias the caller's Ranks storage.
 	norm.Ranks[0] = 99
@@ -495,37 +505,6 @@ func TestUnobservedRowsPredictZero(t *testing.T) {
 	}
 }
 
-func TestUpdateCoreImprovesFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	x := plantedTensor(rng, []int{10, 10, 10}, []int{2, 2, 2}, 250, 0.02)
-	base := smallConfig([]int{2, 2, 2})
-	base.MaxIters = 4
-	withCore := base
-	withCore.UpdateCore = true
-	m1, err := DecomposeContext(context.Background(), x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecomposeContext(context.Background(), x, withCore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At iteration 1 both runs perform identical factor updates from the
-	// same initialization; the extra coordinate-descent sweep over the core
-	// can only lower the regularized loss, so the measured error may differ
-	// from the base run's by at most the (tiny) regularization slack.
-	if m2.Trace[0].Error > m1.Trace[0].Error*1.01 {
-		t.Fatalf("core sweep raised iteration-1 error: %v vs %v",
-			m2.Trace[0].Error, m1.Trace[0].Error)
-	}
-	// Within its own run the trajectory stays monotone.
-	for i := 1; i < len(m2.Trace); i++ {
-		if m2.Trace[i].Error > m2.Trace[i-1].Error*(1+1e-6)+1e-9 {
-			t.Fatalf("core-update run not monotone at iteration %d", i+1)
-		}
-	}
-}
-
 func TestConvergenceStopsEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	x := plantedTensor(rng, []int{10, 10, 10}, []int{2, 2, 2}, 300, 0.0)
@@ -645,7 +624,7 @@ func TestRunIndexedCoverage(t *testing.T) {
 		for _, threads := range []int{1, 3, 7} {
 			n := 100
 			visited := make([]int32, n)
-			counts := runIndexed(threads, sched, 4, n, func(tid, i int) {
+			counts := runIndexed(threads, sched, n, func(tid, i int) {
 				visited[i]++
 			})
 			var total int64
@@ -663,7 +642,7 @@ func TestRunIndexedCoverage(t *testing.T) {
 		}
 	}
 	// Zero items is a no-op.
-	if counts := runIndexed(4, ScheduleDynamic, 2, 0, func(int, int) {}); len(counts) != 0 {
+	if counts := runIndexed(4, ScheduleDynamic, 0, func(int, int) {}); len(counts) != 0 {
 		t.Fatal("zero-item run should return no counts")
 	}
 }
@@ -749,70 +728,6 @@ func TestHighOrderSmoke(t *testing.T) {
 	for k, a := range m.Factors {
 		if !a.IsFinite() {
 			t.Fatalf("factor %d contains non-finite values", k)
-		}
-	}
-}
-
-func TestSampleRateValidation(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.0, 1.5} {
-		cfg := Defaults([]int{2, 2})
-		cfg.SampleRate = bad
-		if _, err := cfg.Validate([]int{5, 5}); !errorIs(err, ErrBadSampleRate) {
-			t.Fatalf("rate %v: err = %v want ErrBadSampleRate", bad, err)
-		}
-	}
-	cfg := Defaults([]int{2, 2})
-	cfg.SampleRate = 0.5
-	if _, err := cfg.Validate([]int{5, 5}); err != nil {
-		t.Fatalf("rate 0.5 must be valid: %v", err)
-	}
-}
-
-// The sampling extension (paper future work): subsampled row updates must
-// still converge to a fit close to the exact method's on well-sampled data.
-func TestSamplingAccuracyCloseToExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x := plantedTensor(rng, []int{20, 20, 20}, []int{2, 2, 2}, 3000, 0.02)
-	exact := smallConfig([]int{2, 2, 2})
-	exact.MaxIters = 6
-	sampled := exact
-	sampled.SampleRate = 0.5
-	m1, err := DecomposeContext(context.Background(), x, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecomposeContext(context.Background(), x, sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "Sacrificing little accuracy": the sampled fit stays within 50% of the
-	// exact error on this redundant, noise-free-ish data.
-	if m2.TrainError > 1.5*m1.TrainError {
-		t.Fatalf("sampled error %v too far above exact %v", m2.TrainError, m1.TrainError)
-	}
-}
-
-// Sampling must never subsample small rows below the informative minimum:
-// rows with few observations use all of them, so results on a tiny tensor
-// are identical with and without sampling.
-func TestSamplingLeavesSmallRowsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	x := plantedTensor(rng, []int{8, 8, 8}, []int{2, 2, 2}, 60, 0.05)
-	exact := smallConfig([]int{2, 2, 2})
-	exact.MaxIters = 3
-	sampled := exact
-	sampled.SampleRate = 0.5
-	m1, err := DecomposeContext(context.Background(), x, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecomposeContext(context.Background(), x, sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range m1.Factors {
-		if !m1.Factors[k].Equal(m2.Factors[k], 0) {
-			t.Fatalf("factor %d differs although every row is below the sampling floor", k)
 		}
 	}
 }

@@ -292,9 +292,9 @@ func decodeModel(data []byte, inPlace bool) (*Model, error) {
 	c.TruncationRate = d.f64("config truncation rate")
 	c.Scheduling = Scheduling(d.i64("config scheduling"))
 	c.Seed = d.i64("config seed")
-	c.UpdateCore = d.u8("config update-core") != 0
-	c.ChunkSize = int(d.i64("config chunk size"))
-	c.SampleRate = d.f64("config sample rate")
+	// The retired update-core (u8), chunk-size (i64) and sample-rate (f64)
+	// slots are skipped, whatever an older build wrote there.
+	d.take(1+8+8, "config retired slots")
 	if version >= 3 {
 		c.Sparsify = d.f64("config sparsify")
 	}

@@ -168,7 +168,9 @@ func TestModelFromMappingTruncated(t *testing.T) {
 // over the stream as written, but with one field lying — the "checksums say
 // fine, the fields say otherwise" attack the readers' checks must stop.
 // field "nnz" or "rows" inflates that length by lie; field "flags" sets the
-// sorted bit whatever the entry order is.
+// sorted bit whatever the entry order is; field "retired" fills the retired
+// config slots with values WriteTo never writes (update-core 1, chunk size
+// 3, sample rate 0.5), as an older build could have.
 func writeModelV4Lying(tb testing.TB, m *Model, field string, lie uint64) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -198,9 +200,15 @@ func writeModelV4Lying(tb testing.TB, m *Model, field string, lie uint64) []byte
 	bw.write(c.TruncationRate)
 	bw.write(int64(c.Scheduling))
 	bw.write(c.Seed)
-	bw.write(boolByte(c.UpdateCore))
-	bw.write(int64(c.ChunkSize))
-	bw.write(c.SampleRate)
+	if field == "retired" {
+		bw.write(uint8(1))
+		bw.write(int64(3))
+		bw.write(0.5)
+	} else {
+		bw.write(uint8(0))
+		bw.write(int64(8))
+		bw.write(float64(0))
+	}
 	bw.write(c.Sparsify)
 
 	bw.write(uint64(len(m.Factors)))
@@ -278,6 +286,56 @@ func TestModelFromMappingRejectsLyingLengths(t *testing.T) {
 	data := writeModelV4Lying(t, m, "none", 0)
 	if _, err := ModelFromMapping(data); err != nil {
 		t.Fatalf("truthful control stream rejected: %v", err)
+	}
+}
+
+// The update-core, chunk-size and sample-rate slots are retired: a stream
+// an older build wrote with other values there loads through both readers,
+// predicts exactly like the canonical stream, and re-encodes to the
+// canonical bytes.
+func TestRetiredConfigSlotsIgnored(t *testing.T) {
+	dims := []int{40, 30, 20}
+	m := syntheticModel(t, 17, dims, []int{3, 2, 2})
+	canonical := writeModelV4Lying(t, m, "none", 0)
+	if want := encodeModel(t, m); !bytes.Equal(canonical, want) {
+		t.Fatal("test bug: the lying encoder's control stream differs from WriteTo")
+	}
+	data := writeModelV4Lying(t, m, "retired", 0)
+	if bytes.Equal(data, canonical) {
+		t.Fatal("test bug: retired slots left at their canonical values")
+	}
+
+	ref, err := ModelFromMapping(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := ReadModel(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("heap reader: %v", err)
+	}
+	mapped, err := ModelFromMapping(data)
+	if err != nil {
+		t.Fatalf("mapped reader: %v", err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	idx := make([]int, len(dims))
+	for i := 0; i < 200; i++ {
+		for k, d := range dims {
+			idx[k] = rng.Intn(d)
+		}
+		want := math.Float64bits(ref.Predict(idx))
+		if math.Float64bits(heap.Predict(idx)) != want || math.Float64bits(mapped.Predict(idx)) != want {
+			t.Fatalf("prediction at %v differs from the canonical stream's", idx)
+		}
+	}
+	for i, back := range []*Model{heap, mapped} {
+		var buf bytes.Buffer
+		if _, err := back.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), canonical) {
+			t.Fatalf("re-encoding the %s-decoded stream did not give the canonical bytes", []string{"heap", "mapped"}[i])
+		}
 	}
 }
 

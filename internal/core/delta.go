@@ -93,7 +93,7 @@ func (st *state) buildCache() {
 	for t := range rowsBuf {
 		rowsBuf[t] = make([][]float64, n)
 	}
-	runIndexed(st.cfg.Threads, ScheduleStatic, 1, nnz, func(tid, alpha int) {
+	runIndexed(st.cfg.Threads, ScheduleStatic, nnz, func(tid, alpha int) {
 		rows := rowsBuf[tid]
 		idx := st.x.Index(alpha)
 		for k := 0; k < n; k++ {
@@ -127,7 +127,7 @@ func (st *state) rescaleCache(mode int, oldA interface {
 	for t := range rowsBuf {
 		rowsBuf[t] = make([][]float64, n)
 	}
-	runIndexed(st.cfg.Threads, ScheduleStatic, 1, st.x.NNZ(), func(tid, alpha int) {
+	runIndexed(st.cfg.Threads, ScheduleStatic, st.x.NNZ(), func(tid, alpha int) {
 		idx := st.x.Index(alpha)
 		in := idx[mode]
 		oldRow := oldA.Row(in)

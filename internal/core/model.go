@@ -16,9 +16,9 @@ type IterStats struct {
 	// Error is the reconstruction error (Eq. 5) of the model left by the
 	// factor updates of this iteration. It is summed from the last mode's
 	// row residuals, which agrees with a pass over the observed entries to
-	// about 1e-12 relative, or measured by that pass where the sum does not
-	// apply (see DecomposeContext). Either way it is bit-identical at any
-	// Config.Threads.
+	// about 1e-12 relative; only a near-exact fit, whose sum would be mostly
+	// rounding, is measured by that pass instead (see derivedError). Either
+	// way it is bit-identical at any Config.Threads.
 	Error float64
 	// Elapsed is the wall-clock duration of the iteration (factor updates,
 	// the error — usually a by-product of the last mode's updates — and
@@ -87,8 +87,8 @@ func (m *Model) Predict(idx []int) float64 {
 
 // predictWithRows evaluates Eq. (4) given pre-fetched factor rows for each
 // mode as one flat scan over the live entries, so its cost is linear in |G|.
-// It is the one kernel behind prediction, the error pass, sparsify scoring
-// and the core update.
+// It is the one kernel behind prediction, the error pass and sparsify
+// scoring.
 func predictWithRows(g *CoreTensor, rows [][]float64) float64 {
 	n := len(rows)
 	var sum float64

@@ -11,13 +11,13 @@ import (
 //   - ScheduleStatic splits the items into T contiguous blocks, the "naive
 //     parallelization" used for error computation and cache maintenance where
 //     the per-item cost is uniform.
-//   - ScheduleDynamic hands out chunks of `chunk` items from an atomic
+//   - ScheduleDynamic hands out chunks of dynamicChunk items from an atomic
 //     counter, the OpenMP schedule(dynamic) analog used for row updates where
 //     |Ω(n)[in]| skew would otherwise leave threads idle.
 //
 // It returns the number of items processed by each worker so callers can
 // report workload balance (Figure 10 / Section IV-D).
-func runIndexed(threads int, sched Scheduling, chunk int, n int, fn func(tid, item int)) []int64 {
+func runIndexed(threads int, sched Scheduling, n int, fn func(tid, item int)) []int64 {
 	if threads < 1 {
 		threads = 1
 	}
@@ -47,23 +47,17 @@ func runIndexed(threads int, sched Scheduling, chunk int, n int, fn func(tid, it
 		return counts
 	}
 
-	if chunk < 1 {
-		chunk = 1
-	}
 	var cursor int64
 	for t := 0; t < threads; t++ {
 		go func(tid int) {
 			defer wg.Done()
 			var done int64
 			for {
-				start := int(atomic.AddInt64(&cursor, int64(chunk))) - chunk
+				start := int(atomic.AddInt64(&cursor, dynamicChunk)) - dynamicChunk
 				if start >= n {
 					break
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
+				end := min(start+dynamicChunk, n)
 				for i := start; i < end; i++ {
 					fn(tid, i)
 				}
@@ -76,18 +70,22 @@ func runIndexed(threads int, sched Scheduling, chunk int, n int, fn func(tid, it
 	return counts
 }
 
+// dynamicChunk is the number of consecutive rows a worker grabs at a time
+// under ScheduleDynamic.
+const dynamicChunk = 8
+
 // sumBlock is the number of consecutive items parallelSum adds up before it
 // starts a new partial sum.
 const sumBlock = 1024
 
 // parallelSum evaluates fn for every item in [0,n) and returns their sum; it
-// runs the parallel reconstruction-error pass (Section III-D) and the core
-// update's numerators. The items of each fixed block of sumBlock are added in
-// order, then the blocks' sums in block order. The blocks do not depend on
-// threads, so neither does any bit of the sum.
+// runs the parallel reconstruction-error pass (Section III-D). The items of
+// each fixed block of sumBlock are added in order, then the blocks' sums in
+// block order. The blocks do not depend on threads, so neither does any bit
+// of the sum.
 func parallelSum(threads, n int, fn func(tid, item int) float64) float64 {
 	partial := make([]float64, (n+sumBlock-1)/sumBlock)
-	runIndexed(threads, ScheduleStatic, 1, len(partial), func(tid, blk int) {
+	runIndexed(threads, ScheduleStatic, len(partial), func(tid, blk int) {
 		var s float64
 		for i := blk * sumBlock; i < min((blk+1)*sumBlock, n); i++ {
 			s += fn(tid, i)

@@ -224,7 +224,7 @@ func (p *Predictor) predictBatch(idxs [][]int) []float64 {
 	for t := range scratches {
 		scratches[t] = p.pool.Get().(*predictScratch)
 	}
-	runIndexed(workers, ScheduleStatic, 1, n, func(tid, i int) {
+	runIndexed(workers, ScheduleStatic, n, func(tid, i int) {
 		out[i] = p.predictInto(scratches[tid], idxs[i])
 	})
 	for _, s := range scratches {

@@ -25,8 +25,8 @@ import (
 // reconstruction error unchanged. The error measurement departs from
 // Algorithm 2's separate pass over Ω: the last mode's row solves already
 // hold each row's normal equations, and their residuals Σx² − 2aᵀc + aᵀBa
-// sum to Eq. (5) (see solveRowEntries). The sampling extension, the core
-// update and near-exact fits measure it with the pass instead (see sweep).
+// sum to Eq. (5) (see solveRowEntries). Only near-exact fits measure it
+// with the pass instead (see derivedError).
 //
 // Cancellation is checked before each iteration and between the per-mode
 // factor updates inside one, so a cancelled fit stops within one iteration
@@ -110,9 +110,9 @@ func (st *state) newModel() *Model {
 }
 
 // sweep is the iteration phase (Algorithm 2 lines 2-7): repeated factor
-// updates, error measurement, optional core refinement and truncation, trace
-// recording, and the OnIteration hook, until convergence, MaxIters, early
-// stop, or cancellation. It mutates st in place and records the run's
+// updates, error measurement, P-Tucker-Approx truncation, trace recording,
+// and the OnIteration hook, until convergence, MaxIters, early stop, or
+// cancellation. It mutates st in place and records the run's
 // statistics on model. On a warm start (Fitter.Refit) the state arrives
 // already fitted and sweep simply continues from it.
 func (st *state) sweep(ctx context.Context, model *Model) error {
@@ -121,13 +121,8 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 	n := x.Order()
 
 	// The last mode's row solves measure Eq. (5) as a by-product (see
-	// solveRowEntries) whenever nothing changes the model after them and
-	// every row saw all of its entries: the sampling extension fits rows to
-	// a subsample, and the core update rewrites the core afterwards.
-	var rowErr []float64
-	if cfg.SampleRate == 0 && !cfg.UpdateCore {
-		rowErr = make([]float64, x.Dim(n-1))
-	}
+	// solveRowEntries): one squared residual per row of A(N).
+	rowErr := make([]float64, x.Dim(n-1))
 	xNorm := x.Norm()
 
 	prevErr := math.Inf(1)
@@ -159,16 +154,9 @@ func (st *state) sweep(ctx context.Context, model *Model) error {
 			}
 		}
 
-		// Extension (off by default): element-wise core refinement.
-		if cfg.UpdateCore {
-			st.updateCore()
-			if st.cache != nil {
-				st.buildCache() // core values changed; memoized products are stale
-			}
-		}
-
 		// Line 4: reconstruction error by Eq. (5), summed from the last
-		// mode's per-row residuals when they hold it, else by a pass over Ω.
+		// mode's per-row residuals; a near-exact fit, whose sum would be
+		// mostly rounding, takes a pass over Ω instead.
 		errNow, ok := derivedError(rowErr, xNorm*xNorm)
 		if !ok {
 			errNow = reconstructionError(x, st.factors, st.core, cfg.Threads)
@@ -352,7 +340,7 @@ func (st *state) updateFactor(mode int, rowErr []float64) []int64 {
 		ws[t] = newWorkspace(n, jn)
 	}
 
-	counts := runIndexed(threads, st.cfg.Scheduling, st.cfg.ChunkSize, a.Rows(), func(tid, in int) {
+	counts := runIndexed(threads, st.cfg.Scheduling, a.Rows(), func(tid, in int) {
 		r := st.updateRow(mode, in, ws[tid])
 		if rowErr != nil {
 			rowErr[in] = r
@@ -385,13 +373,10 @@ const derivedErrorFloor = 1e-4
 
 // derivedError returns the Eq. (5) error √Σ rowErr, adding the per-row
 // squared residuals in row order so the value does not depend on how the
-// rows were spread over threads. ok is false when rowErr is nil or the sum
-// falls below derivedErrorFloor·normSq (or is NaN), and the caller must
-// measure the error directly.
+// rows were spread over threads. ok is false when the sum falls below
+// derivedErrorFloor·normSq (or is NaN), and the caller must measure the
+// error directly.
 func derivedError(rowErr []float64, normSq float64) (float64, bool) {
-	if rowErr == nil {
-		return 0, false
-	}
 	var ss float64
 	for _, r := range rowErr {
 		ss += r
@@ -415,8 +400,7 @@ func derivedError(rowErr []float64, normSq float64) (float64, bool) {
 // expanded as Σx² − 2·rowᵀc + rowᵀB·row from the same accumulators at
 // O(J²) cost, with B taken without λ. Summed over the last mode's rows this
 // is Eq. (5)'s squared error, because δ then holds every other factor and
-// the core (Eq. 12). The value is meaningless under the sampling extension,
-// whose B and c cover only a subsample.
+// the core (Eq. 12).
 func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *workspace) float64 {
 	jn := st.cfg.Ranks[mode]
 
@@ -437,25 +421,8 @@ func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *work
 		c[j] = 0
 	}
 
-	// Sampling extension (Config.SampleRate): fit the row to a deterministic
-	// stride subsample of its observations. The subsampled normal equations
-	// remain a well-posed ridge regression; small rows are never subsampled
-	// below minSampleEntries so the system stays informative.
-	stride := 1
-	if r := st.cfg.SampleRate; r > 0 {
-		const minSampleEntries = 8
-		stride = int(math.Round(1 / r))
-		if len(entries)/max(stride, 1) < minSampleEntries {
-			stride = len(entries) / minSampleEntries
-		}
-		if stride < 1 {
-			stride = 1
-		}
-	}
-
-	var xx float64 // Σ Xα² over the accumulated entries
-	for ei := 0; ei < len(entries); ei += stride {
-		alpha := entries[ei]
+	var xx float64 // Σ Xα² over the row's entries
+	for _, alpha := range entries {
 		delta := st.computeDelta(mode, alpha, w)
 		xv := st.x.Value(alpha)
 		xx += xv * xv
@@ -506,60 +473,4 @@ func (st *state) solveRowEntries(mode int, entries []int, row []float64, w *work
 		rr += r1 * r1
 	}
 	return xx - 2*rc + (rBr - st.cfg.Lambda*rr)
-}
-
-// updateCore is the optional element-wise core refinement (extension; see
-// Config.UpdateCore): one coordinate-descent sweep over live core entries,
-// each solved exactly with the residual maintained incrementally.
-func (st *state) updateCore() {
-	x := st.x
-	g := st.core
-	n := x.Order()
-	nnz := x.NNZ()
-	threads := st.cfg.Threads
-
-	// Residuals r(α) = Xα - prediction(α).
-	resid := make([]float64, nnz)
-	rowsBuf := make([][][]float64, threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-	}
-	runIndexed(threads, ScheduleStatic, 1, nnz, func(tid, e int) {
-		rows := rowsBuf[tid]
-		idx := x.Index(e)
-		for k := 0; k < n; k++ {
-			rows[k] = st.factors[k].Row(idx[k])
-		}
-		resid[e] = x.Value(e) - predictWithRows(g, rows)
-	})
-
-	weights := make([]float64, nnz) // wβ(α) for the current β
-	for e := 0; e < g.NNZ(); e++ {
-		beta := g.Index(e)
-		old := g.Value(e)
-		numer := parallelSum(threads, nnz, func(tid, a int) float64 {
-			idx := x.Index(a)
-			w := 1.0
-			for k := 0; k < n; k++ {
-				w *= st.factors[k].At(idx[k], beta[k])
-			}
-			weights[a] = w
-			return w * (resid[a] + old*w)
-		})
-		denom := st.cfg.Lambda
-		for _, w := range weights {
-			denom += w * w
-		}
-		if denom == 0 {
-			continue
-		}
-		next := numer / denom
-		diff := next - old
-		if diff != 0 {
-			g.SetValue(e, next)
-			for a := 0; a < nnz; a++ {
-				resid[a] -= diff * weights[a]
-			}
-		}
-	}
 }

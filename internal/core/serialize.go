@@ -46,6 +46,13 @@ import (
 //     bytes (config, shapes, padding, trace, summary), then the 4-byte footer
 //     magic "PTKX".
 //
+// The config block of every version keeps three retired slots between Seed
+// and Sparsify: update-core u8, chunk size i64 and sample rate f64, options
+// the library no longer has. WriteTo writes 0, 8 and 0.0 there, their old
+// defaults, which every file the CLI, the server and the examples saved
+// already holds, so such files re-encode byte-identically. The decoder
+// skips the slots, so a file holding other values still loads.
+//
 // One decoder, decodeModel in decode.go, reads every version from bytes
 // held in memory.
 //
@@ -188,9 +195,11 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	bw.write(c.TruncationRate)
 	bw.write(int64(c.Scheduling))
 	bw.write(c.Seed)
-	bw.write(boolByte(c.UpdateCore))
-	bw.write(int64(c.ChunkSize))
-	bw.write(c.SampleRate)
+	// The retired update-core, chunk-size and sample-rate slots, at their
+	// old defaults (see the layout comment above).
+	bw.write(uint8(0))
+	bw.write(int64(8))
+	bw.write(float64(0))
 	bw.write(c.Sparsify) // v3 (SparsifyHoldout is fit-time input, not data)
 
 	// Factor matrices A(1)..A(N), each data block padded to an 8-byte

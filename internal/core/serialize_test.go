@@ -136,9 +136,9 @@ func writeModelV1(m *Model, buf *bytes.Buffer) error {
 	bw.write(c.TruncationRate)
 	bw.write(int64(c.Scheduling))
 	bw.write(c.Seed)
-	bw.write(boolByte(c.UpdateCore))
-	bw.write(int64(c.ChunkSize))
-	bw.write(c.SampleRate)
+	bw.write(uint8(0))   // retired slot: update-core
+	bw.write(int64(8))   // retired slot: chunk size
+	bw.write(float64(0)) // retired slot: sample rate
 
 	bw.write(uint64(len(m.Factors)))
 	for _, a := range m.Factors {

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // sparsifyCore is the post-fit VeST-style pruning pass (Config.Sparsify): it
 // ranks live core entries by responsibility and removes the largest prefix of
 // low-responsibility entries whose reconstruction error stays within the
@@ -11,9 +9,8 @@ import "sort"
 //
 // Responsibility is read off the partial reconstruction errors R(β) (Eq. 13):
 // a large R(β) means the entry hurts the fit — the least responsible entries
-// for the model's accuracy — so candidates are taken in descending R(β),
-// ties broken by entry position (the same total order truncateCore uses,
-// keeping equal-seed runs bit-identical). The budget is checked against
+// for the model's accuracy — so candidates are taken in rankByPartialError's
+// order, the same total order truncateCore uses. The budget is checked against
 // cfg.SparsifyHoldout when set (generalization-gated pruning), otherwise
 // against the training set.
 //
@@ -38,18 +35,7 @@ func (st *state) sparsifyCore(model *Model) {
 	base := reconstructionError(scoreSet, st.factors, g, threads)
 	budget := base * (1 + st.cfg.Sparsify)
 
-	r := PartialErrors(st)
-	order := make([]int, width)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := r[order[a]], r[order[b]]
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
+	order := rankByPartialError(PartialErrors(st))
 
 	errAt := func(k int) float64 {
 		drop := make([]bool, width)

@@ -15,23 +15,19 @@ import (
 //
 // Using pβ(α) = Gβ·∏_n A(n)[in][jn] and full(α) = Σ_γ pγ(α), Eq. 13
 // simplifies to R(β) = Σ_α pβ(α)·(2·(full(α) - Xα) - pβ(α)), which is what
-// the inner loop evaluates. Cost is O(|Ω|·|G|·N), computed in parallel with
-// per-thread accumulators.
+// the inner loop evaluates. Cost is O(|Ω|·|G|·N), computed in parallel over
+// partialErrorSpans contiguous spans of the entries: each span adds its
+// entries in order, then the spans are added in span order.
 func PartialErrors(st *state) []float64 {
 	x := st.x
 	g := st.core
 	n := x.Order()
 	nnz := x.NNZ()
 	width := g.NNZ()
-	threads := st.cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
+	threads := max(st.cfg.Threads, 1)
+	spans := min(partialErrorSpans, nnz)
 
-	acc := make([][]float64, threads)
-	for t := range acc {
-		acc[t] = make([]float64, width)
-	}
+	acc := make([]float64, spans*width) // span s sums into acc[s*width:]
 	prodBuf := make([][]float64, threads)
 	for t := range prodBuf {
 		prodBuf[t] = make([]float64, width)
@@ -43,45 +39,74 @@ func PartialErrors(st *state) []float64 {
 
 	gi := g.idx
 	gv := g.val
-	runIndexed(threads, ScheduleStatic, 1, nnz, func(tid, alpha int) {
+	runIndexed(threads, ScheduleStatic, spans, func(tid, s int) {
 		rows := rowsBuf[tid]
-		idx := x.Index(alpha)
-		for k := 0; k < n; k++ {
-			rows[k] = st.factors[k].Row(idx[k])
-		}
 		prods := prodBuf[tid]
-		var full float64
-		if st.cache != nil {
-			cacheRow := st.cache[alpha*st.cacheW : alpha*st.cacheW+width]
-			copy(prods, cacheRow)
-			for _, p := range prods {
-				full += p
+		out := acc[s*width : (s+1)*width]
+		for alpha := s * nnz / spans; alpha < (s+1)*nnz/spans; alpha++ {
+			idx := x.Index(alpha)
+			for k := 0; k < n; k++ {
+				rows[k] = st.factors[k].Row(idx[k])
 			}
-		} else {
-			for e := 0; e < width; e++ {
-				base := e * n
-				p := gv[e]
-				for k := 0; k < n; k++ {
-					p *= rows[k][gi[base+k]]
+			var full float64
+			if st.cache != nil {
+				cacheRow := st.cache[alpha*st.cacheW : alpha*st.cacheW+width]
+				copy(prods, cacheRow)
+				for _, p := range prods {
+					full += p
 				}
-				prods[e] = p
-				full += p
+			} else {
+				for e := 0; e < width; e++ {
+					base := e * n
+					p := gv[e]
+					for k := 0; k < n; k++ {
+						p *= rows[k][gi[base+k]]
+					}
+					prods[e] = p
+					full += p
+				}
 			}
-		}
-		xv := x.Value(alpha)
-		out := acc[tid]
-		for e, p := range prods {
-			out[e] += p * (2*(full-xv) - p)
+			xv := x.Value(alpha)
+			for e, p := range prods {
+				out[e] += p * (2*(full-xv) - p)
+			}
 		}
 	})
 
 	r := make([]float64, width)
-	for _, part := range acc {
-		for e, v := range part {
+	for s := 0; s < spans; s++ {
+		for e, v := range acc[s*width : (s+1)*width] {
 			r[e] += v
 		}
 	}
 	return r
+}
+
+// partialErrorSpans is the number of entry spans PartialErrors sums
+// separately. It is fixed rather than derived from Threads, so no bit of
+// R(β) — and so no truncation or Sparsify decision at a near-tie — depends
+// on the thread count.
+const partialErrorSpans = 64
+
+// rankByPartialError returns the core entry positions ordered by R(β)
+// descending (Algorithm 4 line 3), ties broken by entry index so the order
+// is a pure function of the R values. An unstable comparison on ties would
+// let the sort implementation pick which tied entries die, violating the
+// "equal seeds are bit-for-bit reproducible" guarantee of truncateCore and
+// sparsifyCore.
+func rankByPartialError(r []float64) []int {
+	order := make([]int, len(r))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ra, rb := r[order[a]], r[order[b]]
+		if ra != rb {
+			return ra > rb
+		}
+		return order[a] < order[b]
+	})
+	return order
 }
 
 // truncateCore removes the top-p fraction of live core entries ranked by
@@ -103,23 +128,7 @@ func (st *state) truncateCore() {
 		k = width - 1
 	}
 
-	// Rank entries by R(β) descending (Algorithm 4 line 3), breaking ties
-	// by entry index so the dropped set is a pure function of the R values.
-	// An unstable comparison on ties would let the sort implementation pick
-	// which tied entries die, violating the "equal seeds are bit-for-bit
-	// reproducible" guarantee for P-Tucker-Approx.
-	order := make([]int, width)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := r[order[a]], r[order[b]]
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
-
+	order := rankByPartialError(r)
 	drop := make([]bool, width)
 	for i := 0; i < k; i++ {
 		drop[order[i]] = true

@@ -34,15 +34,16 @@ go test -run '^$' -bench '^BenchmarkRecommend(Sparse)?$' -benchtime 20000x -coun
 go test -run '^$' -bench '^BenchmarkPredictBatch(Serial)?$' -benchtime 100x -count 3 . | tee -a "$out"
 # Online fold-in, Eq. 9 single-row solve (~12µs/op → ~60ms windows).
 go test -run '^$' -bench '^BenchmarkFoldIn$' -benchtime 5000x -count 3 ./internal/core | tee -a "$out"
-# Fit path, the paper's contribution: one cold ALS iteration of P-Tucker
-# and of P-Tucker-Approx (init, Eq. 9 row updates, error, truncation,
-# finalize; ~15ms/op → ~0.3s windows) and the exact Eq. 5 pass over a
-# fitted model (~3ms/op → ~0.3s windows). -benchmem records the row
+# Fit path, the paper's contribution: one cold ALS iteration of P-Tucker,
+# P-Tucker-Cache and P-Tucker-Approx (init, Eq. 9 row updates, error,
+# truncation, finalize; ~15-20ms/op → ~0.3-0.4s windows), the exact Eq. 5
+# pass over a fitted model and the R(β) scoring pass of truncation and
+# Sparsify (~3ms/op each → ~0.3s windows). -benchmem records the row
 # solve's allocations next to its time. Until BENCH_BASELINE.json is
 # refreshed on the CI runner class, benchcmp lists these as new and does
 # not gate them.
-go test -run '^$' -bench '^BenchmarkIteration(Plain|Approx)$' -benchtime 20x -count 3 -benchmem ./internal/core | tee -a "$out"
-go test -run '^$' -bench '^BenchmarkErrorPass$' -benchtime 100x -count 3 -benchmem ./internal/core | tee -a "$out"
+go test -run '^$' -bench '^BenchmarkIteration(Plain|Cache|Approx)$' -benchtime 20x -count 3 -benchmem ./internal/core | tee -a "$out"
+go test -run '^$' -bench '^Benchmark(ErrorPass|PartialErrors)$' -benchtime 100x -count 3 -benchmem ./internal/core | tee -a "$out"
 # Binary tensor snapshot load (~230µs/op → ~100ms windows).
 go test -run '^$' -bench '^BenchmarkBinaryRead$' -benchtime 500x -count 3 ./internal/store | tee -a "$out"
 # Model open, mmap vs heap, small vs 16x-larger file. The mmap rows=64k row

@@ -2,7 +2,7 @@
 // documented lock hierarchy. The hierarchy is declared once, in a
 // machine-readable doc comment anywhere in the package:
 //
-//	ptlint:lock-order Server.reloadMu > online.mu > online.stageMu > Server.durMu
+//	ptlint:lock-order Server.reloadMu > online.mu > Server.durMu > Server.srcMu
 //
 // Each entry names a sync.Mutex/RWMutex either as Type.field (a mutex
 // field of a named struct type) or as a bare package-level variable name.

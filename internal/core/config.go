@@ -47,6 +47,9 @@ func (m Method) String() string {
 	}
 }
 
+// known reports whether m names one of the three methods.
+func (m Method) known() bool { return m >= PTucker && m <= PTuckerApprox }
+
 // Scheduling selects how factor-matrix rows are distributed over threads
 // (Section III-D). Dynamic scheduling corrects the per-row workload imbalance
 // caused by skewed |Ω(n)[in]| and is the paper's default; Static is the
@@ -68,6 +71,9 @@ func (s Scheduling) String() string {
 	}
 	return "dynamic"
 }
+
+// known reports whether s names one of the two policies.
+func (s Scheduling) known() bool { return s == ScheduleDynamic || s == ScheduleStatic }
 
 // Config holds the hyper-parameters of a factorization run. The zero value
 // is not usable; fill Ranks and call Validate, or use Defaults.
@@ -161,6 +167,8 @@ var (
 	ErrEmptyTensor    = errors.New("core: tensor has no observed entries")
 	ErrRankExceedsDim = errors.New("core: rank exceeds the matching tensor dimensionality")
 	ErrBadSparsify    = errors.New("core: invalid sparsify option")
+	ErrBadMethod      = errors.New("core: unknown method")
+	ErrBadScheduling  = errors.New("core: unknown scheduling policy")
 )
 
 // Validate checks the configuration against a tensor of the given shape and
@@ -169,6 +177,8 @@ var (
 // a caller's Config can be reused and compared across fits without surprise
 // rewrites. Every float knob must be finite: a NaN slips past any range
 // comparison, and configs also arrive inside model files (ResumeFitter).
+// Method and Scheduling must name a defined value; an unknown one would
+// otherwise run as plain P-Tucker under dynamic scheduling.
 func (c Config) Validate(dims []int) (Config, error) {
 	if len(c.Ranks) == 0 {
 		return c, ErrNoRanks
@@ -183,6 +193,12 @@ func (c Config) Validate(dims []int) (Config, error) {
 		if j > dims[n] {
 			return c, fmt.Errorf("%w: J%d = %d > I%d = %d", ErrRankExceedsDim, n+1, j, n+1, dims[n])
 		}
+	}
+	if !c.Method.known() {
+		return c, fmt.Errorf("%w: %v", ErrBadMethod, c.Method)
+	}
+	if !c.Scheduling.known() {
+		return c, fmt.Errorf("%w: Scheduling(%d)", ErrBadScheduling, int(c.Scheduling))
 	}
 	if !finite(c.Lambda) || c.Lambda < 0 {
 		return c, fmt.Errorf("%w: %v", ErrBadLambda, c.Lambda)

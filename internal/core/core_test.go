@@ -106,6 +106,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative sparsify", func(c *Config) { c.Sparsify = -0.1 }, ErrBadSparsify},
 		{"NaN sparsify", func(c *Config) { c.Sparsify = math.NaN() }, ErrBadSparsify},
 		{"+Inf sparsify", func(c *Config) { c.Sparsify = math.Inf(1) }, ErrBadSparsify},
+		{"negative method", func(c *Config) { c.Method = -1 }, ErrBadMethod},
+		{"method 3", func(c *Config) { c.Method = 3 }, ErrBadMethod},
+		{"negative scheduling", func(c *Config) { c.Scheduling = -1 }, ErrBadScheduling},
+		{"scheduling 2", func(c *Config) { c.Scheduling = 2 }, ErrBadScheduling},
 	}
 	for _, tc := range cases {
 		cfg := Defaults([]int{2, 2, 2})

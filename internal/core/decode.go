@@ -292,6 +292,12 @@ func decodeModel(data []byte, inPlace bool) (*Model, error) {
 	c.TruncationRate = d.f64("config truncation rate")
 	c.Scheduling = Scheduling(d.i64("config scheduling"))
 	c.Seed = d.i64("config seed")
+	if !c.Method.known() {
+		d.fail("%w: unknown config method %d", ErrBadModelFormat, int(c.Method))
+	}
+	if !c.Scheduling.known() {
+		d.fail("%w: unknown config scheduling %d", ErrBadModelFormat, int(c.Scheduling))
+	}
 	// The retired update-core (u8), chunk-size (i64) and sample-rate (f64)
 	// slots are skipped, whatever an older build wrote there.
 	d.take(1+8+8, "config retired slots")

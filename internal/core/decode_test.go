@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -614,6 +615,31 @@ func TestReadModelRequiresFooterAtEnd(t *testing.T) {
 	} {
 		if _, err := ReadModel(bytes.NewReader(tc.b)); err == nil {
 			t.Fatalf("%s: stream accepted", tc.name)
+		}
+	}
+}
+
+// TestDecodeRejectsUnknownVariants: a stream whose config names no known
+// Method or Scheduling fails at load, naming the field, instead of loading
+// and later refitting as plain P-Tucker under dynamic scheduling.
+func TestDecodeRejectsUnknownVariants(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"method", func(c *Config) { c.Method = 7 }},
+		{"scheduling", func(c *Config) { c.Scheduling = 9 }},
+	} {
+		m := syntheticModel(t, 3, []int{6, 5, 4}, []int{2, 2, 2})
+		tc.mut(&m.Config)
+		data := encodeModel(t, m)
+		_, err := ReadModel(bytes.NewReader(data))
+		if !errorIs(err, ErrBadModelFormat) || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("ReadModel with unknown %s: err = %v, want ErrBadModelFormat naming it", tc.field, err)
+		}
+		_, err = ModelFromMapping(alignedCopy(data))
+		if !errorIs(err, ErrBadModelFormat) || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("ModelFromMapping with unknown %s: err = %v, want ErrBadModelFormat naming it", tc.field, err)
 		}
 	}
 }

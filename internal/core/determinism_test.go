@@ -164,6 +164,23 @@ func TestWorkPerThreadSumsAcrossModes(t *testing.T) {
 	}
 }
 
+// TestRMSEWorkersIgnoreConfigThreads: a model's Config.Threads is the
+// count of the host that fitted it, and a model file carries it elsewhere.
+// Scoring runs on this host's GOMAXPROCS workers, so a model carrying 4096
+// threads allocates exactly what one carrying 2 does.
+func TestRMSEWorkersIgnoreConfigThreads(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	x := uniformTensor(rng, []int{30, 20, 10}, 2000)
+	m := syntheticModel(t, 43, []int{30, 20, 10}, []int{3, 3, 3})
+	allocs := func(threads int) float64 {
+		m.Config.Threads = threads
+		return testing.AllocsPerRun(20, func() { m.RMSE(x) })
+	}
+	if small, huge := allocs(2), allocs(4096); huge != small {
+		t.Fatalf("RMSE allocates %v objects at Threads 4096, %v at Threads 2", huge, small)
+	}
+}
+
 // The reported errors must not depend on the thread count either: the
 // Tol stop and Sparsify's budget probes compare them, so T=1 and T=4 must
 // agree to the last bit on every Trace error and on TrainError.

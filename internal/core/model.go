@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/mat"
@@ -106,9 +107,11 @@ func predictWithRows(g *CoreTensor, rows [][]float64) float64 {
 
 // ReconstructionError computes Eq. (5) over the observed entries of x, in
 // parallel over fixed blocks of entries whose sums are added in block order,
-// so the result is the same to the last bit at any Config.Threads.
+// so the result is the same to the last bit at any thread count. It runs on
+// this host's GOMAXPROCS workers, not Config.Threads: the config may come
+// from a model file written on another host.
 func (m *Model) ReconstructionError(x *tensor.Coord) float64 {
-	return reconstructionError(x, m.Factors, m.Core, m.Config.Threads)
+	return reconstructionError(x, m.Factors, m.Core, runtime.GOMAXPROCS(0))
 }
 
 func reconstructionError(x *tensor.Coord, factors []*mat.Dense, g *CoreTensor, threads int) float64 {

@@ -84,46 +84,28 @@ func (s *Server) initDurable() error {
 		}
 	}
 
-	folds := 0
-	records, obs := 0, 0
-	err = j.Replay(func(rec store.Record) error {
-		if rec.Seq <= covered {
-			return nil // already part of the training snapshot
-		}
-		plan, err := planObservations(f.Dims(), rec.Observations)
-		if err != nil {
-			return fmt.Errorf("serve: journal record %d: %w", rec.Seq, err)
-		}
-		resp, err := s.applyPlan(f, plan, false)
-		if err != nil {
-			return fmt.Errorf("serve: journal record %d: %w", rec.Seq, err)
-		}
-		folds += len(resp.Folded)
-		records++
-		obs += len(rec.Observations)
-		return nil
-	})
+	n, err := s.replay(f, covered+1, j.Replay)
 	if err != nil {
 		j.Close()
-		return err
+		return fmt.Errorf("serve: %w", err)
 	}
 
 	s.journal = j
 	s.online.fitter = f
 	// Replayed observations were never refitted; they count toward the next
 	// RefitAfter trigger like the live traffic they were.
-	s.online.pending = obs
+	s.online.pending = n.observations
 	s.durLastCovered = covered
 	// Every surviving record is now reflected in the fitter (covered ones
 	// via the training snapshot's model, the rest via the replay above).
 	s.repl.appliedSeq.Store(j.LastSeq())
-	if folds > 0 {
+	if n.folds > 0 {
 		s.install(f.Snapshot())
 	}
-	s.met.journalReplayed.Store(int64(records))
-	if records > 0 {
+	s.met.journalReplayed.Store(int64(n.records))
+	if n.records > 0 {
 		s.event(slog.LevelInfo, "journal replayed",
-			"records", records, "observations", obs, "folds", folds, "covered", covered)
+			"records", n.records, "observations", n.observations, "folds", n.folds, "covered", covered)
 	}
 	// Surviving records restart their age clock here: the journal does not
 	// persist append times, so "older than CompactAge" is measured from this
@@ -137,11 +119,11 @@ func (s *Server) initDurable() error {
 	// over. The refit's own compaction supersedes a size-triggered one, and
 	// startup stops being single-threaded here, so this path returns without
 	// the unlocked compaction check below.
-	if s.opts.RefitAfter > 0 && obs >= s.opts.RefitAfter {
+	if s.opts.RefitAfter > 0 && n.observations >= s.opts.RefitAfter {
 		s.event(slog.LevelInfo, "resuming interrupted refit after replay",
-			"observations", obs, "threshold", s.opts.RefitAfter)
+			"observations", n.observations, "threshold", s.opts.RefitAfter)
 		s.online.mu.Lock()
-		s.triggerRefit(f)
+		s.triggerRefit()
 		s.online.mu.Unlock()
 		return nil
 	}
@@ -154,8 +136,8 @@ func (s *Server) initDurable() error {
 
 // journalAppend records one accepted batch and returns its assigned
 // sequence; a nil journal (no data dir) is a no-op returning 0. The caller
-// holds whichever lock currently admits observes, so appends are totally
-// ordered exactly as they are applied.
+// holds online.mu, so appends are totally ordered exactly as they are
+// applied.
 func (s *Server) journalAppend(obs []core.Observation) (uint64, error) {
 	if s.journal == nil {
 		return 0, nil
@@ -225,37 +207,39 @@ func (s *Server) compact(m *core.Model, x *tensor.Coord, covered uint64, gen int
 
 // maybeCompactBySize starts a background journal compaction — without a
 // refit — once the journal file exceeds Options.CompactBytes. It closes the
-// unbounded-journal gap for servers running with refits disabled: the
-// current grown model and a deep copy of the accumulated training set are
-// snapshotted into the data dir (the same covered-sequence container a
-// refit's compaction uses), and the covered records rotate out of the
-// journal. A restart then loads the persisted model and replays only what
-// arrived after the capture — bit-identical state, no refit required.
-//
-// The caller holds online.mu (or is the single-threaded startup), so the
-// capture — model snapshot, training-set copy, covered sequence — is
-// consistent with the fitter. The writes themselves run off the lock; a
-// concurrent refit's compaction is ordered by durMu and the covered-sequence
-// guard in compact. One size-triggered pass runs at a time (compactBusy),
-// and none while a refit is in flight — the refit's own compaction, which
-// also persists the refit's better model, is moments away.
+// unbounded-journal gap for servers running with refits disabled; see
+// compactInBackground. The caller holds online.mu (or is the
+// single-threaded startup).
 func (s *Server) maybeCompactBySize(f *core.Fitter) {
-	o := &s.online
-	if s.dir == nil || s.opts.CompactBytes <= 0 || o.refitting {
-		return
+	if s.dir != nil && s.opts.CompactBytes > 0 && s.journal.Size() >= s.opts.CompactBytes {
+		s.compactInBackground(f)
 	}
-	// An empty journal is all header; nothing to compact no matter how small
-	// the threshold.
-	if s.journal.Len() == 0 || s.journal.Size() < s.opts.CompactBytes {
-		return
-	}
-	if !s.compactBusy.CompareAndSwap(false, true) {
+}
+
+// compactInBackground is the one capture behind the size and the age
+// trigger, which only decide when to call it: the fitter's current grown
+// model, a deep copy of its training set (the same covered-sequence container
+// a refit's compaction uses) and the journal sequence they cover, taken
+// under online.mu so they are consistent with each other. The writes run off
+// the lock, and the covered records rotate out of the journal; a restart then
+// loads the persisted model and replays only what arrived after the capture —
+// bit-identical state, no refit required. A concurrent refit's compaction is
+// ordered by durMu and the covered-sequence guard in compact.
+//
+// Nothing is captured while a refit is in flight: its own compaction, which
+// also persists the refit's better model, is moments away, and until its
+// catch-up the serving fitter is a stand-in holding only the batches since
+// the trigger. Nor is anything captured without a fitter, with an empty
+// journal (it is all header), or while another capture's writes still run
+// (compactBusy).
+func (s *Server) compactInBackground(f *core.Fitter) {
+	if f == nil || s.online.refitting || s.journal.Len() == 0 || !s.compactBusy.CompareAndSwap(false, true) {
 		return
 	}
 	m := f.Snapshot()
 	x := f.TrainingSet()
 	covered := s.journal.LastSeq()
-	gen := o.gen
+	gen := s.online.gen
 	go func() {
 		defer s.compactBusy.Store(false)
 		s.compact(m, x, covered, gen)
@@ -282,34 +266,17 @@ func (s *Server) ageCompactLoop() {
 	}
 }
 
-// compactByAge starts a background compaction once the oldest uncovered
-// journal record has waited longer than Options.CompactAge. The capture —
-// model snapshot, training-set copy, covered sequence — happens under
-// online.mu exactly like maybeCompactBySize's, and the same deferrals
-// apply: never while a refit is in flight (its own compaction is moments
-// away), one pass at a time (compactBusy), writes off the lock.
+// compactByAge starts a background compaction (see compactInBackground)
+// once the oldest uncovered journal record has waited longer than
+// Options.CompactAge.
 func (s *Server) compactByAge() {
 	armed := s.oldestUncovered.Load()
 	if armed == 0 || s.now().Sub(time.Unix(0, armed)) < s.opts.CompactAge {
 		return
 	}
-	o := &s.online
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.refitting || o.fitter == nil || s.journal.Len() == 0 {
-		return
-	}
-	if !s.compactBusy.CompareAndSwap(false, true) {
-		return
-	}
-	m := o.fitter.Snapshot()
-	x := o.fitter.TrainingSet()
-	covered := s.journal.LastSeq()
-	gen := o.gen
-	go func() {
-		defer s.compactBusy.Store(false)
-		s.compact(m, x, covered, gen)
-	}()
+	s.online.mu.Lock()
+	defer s.online.mu.Unlock()
+	s.compactInBackground(s.online.fitter)
 }
 
 // rebaseDurable resets the durable state around a committed reload: the

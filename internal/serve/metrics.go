@@ -42,13 +42,12 @@ type metrics struct {
 	refitErrors  atomic.Int64 // background refits that failed
 	timeouts     atomic.Int64 // requests cut off by the per-request timeout
 
-	stagedObservations atomic.Int64 // observations buffered while a refit ran
-	journalAppends     atomic.Int64 // batches journaled to the data dir
-	journalReplayed    atomic.Int64 // journal records replayed at startup
-	compactions        atomic.Int64 // journal compactions completed
-	compactionErrors   atomic.Int64 // compactions that failed (journal kept)
-	rebaseErrors       atomic.Int64 // reload re-bases that failed to persist
-	authFailures       atomic.Int64 // mutating requests rejected with 401
+	journalAppends   atomic.Int64 // batches journaled to the data dir
+	journalReplayed  atomic.Int64 // journal records replayed at startup
+	compactions      atomic.Int64 // journal compactions completed
+	compactionErrors atomic.Int64 // compactions that failed (journal kept)
+	rebaseErrors     atomic.Int64 // reload re-bases that failed to persist
+	authFailures     atomic.Int64 // mutating requests rejected with 401
 
 	// Replication: the primary's stream service and the follower's
 	// tailing progress (see replication.go).
@@ -175,7 +174,6 @@ func (m *metrics) render(e *expo.Expo, snap func() *snapshot, repl func() replSa
 	e.Gauge("ptucker_refit_fit_error", "Training reconstruction error at the refit's latest completed iteration.", math.Float64frombits(m.refitFitError.Load()))
 	e.Gauge("ptucker_refit_last_duration_seconds", "Wall-clock seconds the last published background refit took.", math.Float64frombits(m.refitLastSecs.Load()))
 	e.Counter("ptucker_request_timeouts_total", "Requests cut off by the per-request timeout.", m.timeouts.Load())
-	e.Counter("ptucker_staged_observations_total", "Observations buffered in the staging queue while a refit ran.", m.stagedObservations.Load())
 	e.Counter("ptucker_journal_appends_total", "Observation batches journaled to the data directory.", m.journalAppends.Load())
 	e.Histogram("ptucker_journal_append_duration_seconds", "Wall-clock seconds per journal append (encode + write + any inline fsync).", m.journalAppendDur)
 	e.Histogram("ptucker_journal_fsync_duration_seconds", "Wall-clock seconds per journal fsync, across all sync policies.", m.journalFsyncDur)

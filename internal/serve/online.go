@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/tensor"
 )
 
@@ -20,52 +21,38 @@ var errObserveInternal = errors.New("serve: internal observe failure")
 
 // online is the server's mutable fitting state: a Fitter resumed from the
 // serving snapshot that absorbs /v1/observe traffic. The Fitter itself is
-// not concurrent-safe; mutations happen under mu. A background refit owns
-// the fitter for its whole compute without holding mu — observes that arrive
-// meanwhile are validated, journaled, and buffered into the staging queue
-// (under stageMu, so they never block behind the refit), then drained into
-// the fitter when the refit's results are swapped in.
+// not concurrent-safe; mutations happen under mu. A background refit takes
+// the serving fitter for its whole compute without holding mu and leaves
+// fitter nil, so the next observe resumes a stand-in from the served snapshot
+// and carries on exactly as between refits — plan, journal, apply, publish.
+// When the refit returns, its catch-up replays what the stand-in applied
+// into the refit's fitter, which then serves again.
 type online struct {
 	mu      sync.Mutex
-	fitter  *core.Fitter
-	pending int // observations accepted since the last refit
+	fitter  *core.Fitter // nil: the next observe resumes one from the served snapshot
+	pending int          // observations accepted since the last refit
 
-	// refitting tracks the single in-flight background refit; refitFitter is
-	// the fitter that refit owns. A reload can install a new fitter while a
-	// refit still runs on the abandoned one — observes then mutate the new
-	// fitter under mu as usual, because only refitFitter is owned elsewhere;
-	// refitCancel lets the reload abort the abandoned compute within one ALS
-	// iteration instead of letting it burn cores to produce a discarded
+	// refitting tracks the single in-flight background refit, from its
+	// trigger until its compaction is done; refits and compactions are both
+	// gated on it, so the stand-in's partial training set never reaches
+	// either. refitCancel lets a reload abort an abandoned compute within one
+	// ALS iteration instead of letting it burn cores to produce a discarded
 	// result.
 	refitting   bool
-	refitFitter *core.Fitter
 	refitCancel context.CancelFunc
+
+	// standIn is true while a refit computes: each batch an observe applies
+	// meanwhile is also logged in backlog, in journal order, for the
+	// refit's catch-up.
+	standIn bool
+	backlog []store.Record
 
 	// gen counts superseding events (reloads). Off-lock data-dir writers
 	// (compaction) capture it with their inputs; the generation check under
 	// Server.durMu keeps a compaction captured before a reload from
-	// overwriting the re-based directory.
+	// overwriting the re-based directory. A refit captures it at its trigger
+	// and abandons its result when a reload moved it on.
 	gen int64
-
-	// The staging queue. staging is true exactly while an in-flight refit
-	// owns the serving fitter; stagedDims simulates the fitter's shape across
-	// the staged batches so fold-ins plan deterministically at staging time
-	// and apply identically at drain time (a refit never changes dims).
-	stageMu     sync.Mutex
-	staging     bool
-	staged      []stagedBatch
-	stagedDims  []int
-	stagedCount int
-}
-
-// stagedBatch is one journaled-but-not-yet-applied observe batch buffered
-// while a refit owns the fitter. The journal sequence rides along so the
-// replication applied-sequence can advance exactly when the drain applies
-// the batch — the stream never ships records the primary's own model does
-// not yet reflect.
-type stagedBatch struct {
-	seq uint64
-	obs []core.Observation
 }
 
 // --- request/response shapes ---
@@ -81,15 +68,11 @@ type foldResult struct {
 }
 
 type observeResponse struct {
-	Appended int          `json:"appended"`
-	Folded   []foldResult `json:"folded,omitempty"`
-	Dims     []int        `json:"dims"`
-	Pending  int          `json:"pending"`
-	// Staged reports that the batch was accepted (and journaled) while a
-	// background refit was in flight: it is applied — and its folded rows
-	// become servable — when the refit finishes, not when this returns.
-	Staged         bool `json:"staged,omitempty"`
-	RefitTriggered bool `json:"refit_triggered,omitempty"`
+	Appended       int          `json:"appended"`
+	Folded         []foldResult `json:"folded,omitempty"`
+	Dims           []int        `json:"dims"`
+	Pending        int          `json:"pending"`
+	RefitTriggered bool         `json:"refit_triggered,omitempty"`
 }
 
 // handleObserve is POST /v1/observe: append observations to the online
@@ -99,8 +82,8 @@ type observeResponse struct {
 // directory configured, every accepted batch is journaled before it is
 // applied, so a crash replays it. When Options.RefitAfter observations have
 // accumulated, a background warm refit is triggered and its result swapped
-// in the same way; batches arriving during the refit are staged, not
-// blocked.
+// in the same way; batches arriving during the refit apply at once, not
+// after it.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.met.requests("observe").Add(1)
 	var req observeRequest
@@ -128,38 +111,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 // observe validates, journals, applies, and publishes one batch of
-// observations — or stages it when a background refit owns the fitter.
+// observations.
 func (s *Server) observe(ctx context.Context, obs []core.Observation) (*observeResponse, error) {
 	o := &s.online
-	for {
-		o.mu.Lock()
-
-		// The lock may have been held for a while; if the request's deadline
-		// passed meanwhile the client was already told 503 — applying now
-		// would make a retry double-count the observations, so the batch is
-		// dropped whole instead.
-		if err := ctx.Err(); err != nil {
-			o.mu.Unlock()
-			return nil, err
-		}
-		// Stage only while a live refit owns the serving fitter. The nil
-		// check matters: after a reload (fitter=nil) during a refit's
-		// compaction tail (refitFitter already nil), nil==nil must not send
-		// observes into a closed staging window to spin.
-		if !(o.refitting && o.refitFitter != nil && o.fitter == o.refitFitter) {
-			break // hold mu; the fitter is ours to mutate
-		}
-		o.mu.Unlock()
-		resp, retry, err := s.stageObserve(ctx, obs)
-		if !retry {
-			return resp, err
-		}
-		// The staging window closed between the two locks (the refit drained,
-		// or a reload superseded it) — go around and take the normal path.
-	}
+	o.mu.Lock()
 	defer o.mu.Unlock()
 
+	// The lock may have been held for a while; if the request's deadline
+	// passed meanwhile the client was already told 503 — applying now would
+	// make a retry double-count the observations, so the batch is dropped
+	// whole instead.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if o.fitter == nil {
+		// First observe since startup, a reload, or a refit trigger: resume
+		// from exactly what is being served.
 		f, err := s.resumeFitter(s.snapshot().model)
 		if err != nil {
 			return nil, fmt.Errorf("%w: resume fitter: %v", errObserveInternal, err)
@@ -188,6 +155,9 @@ func (s *Server) observe(ctx context.Context, obs []core.Observation) (*observeR
 		return nil, err
 	}
 	s.met.observations.Add(int64(len(obs)))
+	if o.standIn {
+		o.backlog = append(o.backlog, store.Record{Seq: seq, Observations: obs})
+	}
 
 	// Publish grown models: predictions and recommendations for folded-in
 	// rows work the moment this returns. Append-only batches change nothing
@@ -204,15 +174,15 @@ func (s *Server) observe(ctx context.Context, obs []core.Observation) (*observeR
 	}
 
 	o.pending += len(obs)
+	resp.Dims = f.Dims()
 	if s.opts.RefitAfter > 0 && o.pending >= s.opts.RefitAfter && !o.refitting {
-		s.triggerRefit(f)
+		s.triggerRefit()
 		resp.RefitTriggered = true
 	}
 	// Size-triggered journal compaction (no refit): checked after the refit
 	// trigger so a batch that just started a refit defers to that refit's own
 	// compaction instead of racing it.
 	s.maybeCompactBySize(f)
-	resp.Dims = f.Dims()
 	resp.Pending = o.pending
 	return resp, nil
 }
@@ -221,9 +191,12 @@ func (s *Server) observe(ctx context.Context, obs []core.Observation) (*observeR
 // own config, with Options.Sparsify overriding the pruning budget and the
 // held-out set (when loaded) attached as the budget's scoring set — so
 // background refits of a sparsified deployment re-prune, gated on
-// generalization when a holdout is available.
+// generalization when a holdout is available. Threads is reset to 0 (this
+// host's GOMAXPROCS): the count a model file carries was the writing host's,
+// and it sizes every refit's per-thread buffers.
 func (s *Server) resumeFitter(m *core.Model) (*core.Fitter, error) {
 	cfg := m.Config
+	cfg.Threads = 0
 	if s.opts.Sparsify > 0 {
 		cfg.Sparsify = s.opts.Sparsify
 	}
@@ -242,13 +215,17 @@ func (s *Server) resumeFitter(m *core.Model) (*core.Fitter, error) {
 	return core.ResumeFitter(m, cfg)
 }
 
-// triggerRefit hands the fitter to a background warm refit and opens the
-// staging window. The caller holds online.mu and has already checked that no
-// refit is in flight; pending resets because the refit will absorb it.
-func (s *Server) triggerRefit(f *core.Fitter) {
+// triggerRefit hands the serving fitter to a background warm refit. The
+// caller holds online.mu and has already checked that no refit is in
+// flight; pending resets because the refit will absorb it. The served
+// snapshot reflects the handed-over fitter, so the stand-in the next observe
+// resumes from it starts where the refit's catch-up will.
+func (s *Server) triggerRefit() {
 	o := &s.online
+	f := o.fitter
+	o.fitter = nil
 	o.refitting = true
-	o.refitFitter = f
+	o.standIn = true
 	absorbed := o.pending
 	o.pending = 0
 	s.met.refitState.Store(refitFitting)
@@ -258,63 +235,15 @@ func (s *Server) triggerRefit(f *core.Fitter) {
 	// it) and is additionally cancellable by a superseding reload.
 	rctx, cancel := context.WithCancel(s.life)
 	o.refitCancel = cancel
-	// Open the staging window before the refit goroutine exists, so no
-	// observe can slip between "refit owns the fitter" and "staging is
-	// accepting".
-	o.stageMu.Lock()
-	o.staging = true
-	o.stagedDims = f.Dims()
-	o.stagedCount = 0
-	o.stageMu.Unlock()
-	go s.backgroundRefit(rctx, f, cancel)
-}
-
-// stageObserve accepts a batch while a refit owns the fitter: it plans
-// against the simulated staged shape, journals, and buffers the raw batch
-// for the post-refit drain. It reports retry=true when the staging window is
-// closed (the caller re-takes the normal path).
-func (s *Server) stageObserve(ctx context.Context, obs []core.Observation) (*observeResponse, bool, error) {
-	o := &s.online
-	o.stageMu.Lock()
-	defer o.stageMu.Unlock()
-	if !o.staging {
-		return nil, true, nil
-	}
-	// Same discipline as the normal path: queueing behind other staged
-	// appends (each an fsync under SyncAlways) may have outlived the request
-	// deadline, and the client was already told 503 — applying now would
-	// make a retry double-count the batch.
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	plan, err := planObservations(o.stagedDims, obs)
-	if err != nil {
-		return nil, false, err
-	}
-	seq, err := s.journalAppend(obs)
-	if err != nil {
-		return nil, false, err
-	}
-	o.staged = append(o.staged, stagedBatch{seq: seq, obs: obs})
-	o.stagedCount += len(obs)
-
-	resp := &observeResponse{Appended: len(plan.appends), Staged: true, Pending: o.stagedCount}
-	for _, g := range plan.folds {
-		o.stagedDims[g.mode]++
-		resp.Folded = append(resp.Folded, foldResult{Mode: g.mode, Index: g.index, NNZ: len(g.obs)})
-	}
-	resp.Dims = append([]int(nil), o.stagedDims...)
-	s.met.observations.Add(int64(len(obs)))
-	s.met.stagedObservations.Add(int64(len(obs)))
-	return resp, false, nil
+	go s.backgroundRefit(rctx, f, o.gen, cancel)
 }
 
 // applyPlan runs one planned batch against the fitter; the caller holds
-// online.mu (or is the single-threaded startup replay). live=false suppresses
-// the traffic counters during replay. On an (unreachable if the plan is
-// sound) apply failure, whatever did fold is published so the served snapshot
-// never diverges from the fitter, and the fault is reported as the server's
-// own (500, not 400).
+// online.mu (or is the single-threaded startup replay). live=false
+// suppresses the traffic counters during replay and catch-up. On an
+// (unreachable if the plan is sound) apply failure, whatever did fold is
+// published so the served snapshot never diverges from the fitter, and the
+// fault is reported as the server's own (500, not 400).
 func (s *Server) applyPlan(f *core.Fitter, plan *obsPlan, live bool) (*observeResponse, error) {
 	resp := &observeResponse{Appended: len(plan.appends)}
 	for _, g := range plan.folds {
@@ -342,28 +271,58 @@ func (s *Server) applyPlan(f *core.Fitter, plan *obsPlan, live bool) (*observeRe
 	return resp, nil
 }
 
+// replayed tallies what one replay applied.
+type replayed struct{ records, observations, folds int }
+
+// replay applies journal records to f, in order, through the plan/apply path
+// live observes take, skipping records below from (a training snapshot or a
+// replica model already holds them). It counts nothing as live traffic and
+// leaves publishing to the caller, which publishes once at the end; it stops
+// at the first record that cannot be applied. records has the shape of
+// store.Journal.Replay.
+func (s *Server) replay(f *core.Fitter, from uint64, records func(func(store.Record) error) error) (replayed, error) {
+	var n replayed
+	err := records(func(rec store.Record) error {
+		if rec.Seq < from {
+			return nil
+		}
+		plan, err := planObservations(f.Dims(), rec.Observations)
+		if err != nil {
+			return fmt.Errorf("journal record %d: %w", rec.Seq, err)
+		}
+		resp, err := s.applyPlan(f, plan, false)
+		if err != nil {
+			return fmt.Errorf("journal record %d: %w", rec.Seq, err)
+		}
+		n.records++
+		n.observations += len(rec.Observations)
+		n.folds += len(resp.Folded)
+		return nil
+	})
+	return n, err
+}
+
 // backgroundRefit runs a warm-started Refit over everything the fitter has
-// accumulated and publishes the result. It owns the fitter for the compute
-// but does NOT hold online.mu — concurrent observes stage instead of
-// blocking, and prediction traffic is unaffected as always. After the swap
-// it drains the staging queue into the fitter, closes the staging window,
-// and compacts the journal into a fresh snapshot. If a reload replaced the
-// online state while the refit ran, the refit is abandoned — the reloaded
-// model wins. The refit runs under the server's lifetime context, so Close
-// stops it within one ALS iteration instead of letting it outlive the
-// server.
-func (s *Server) backgroundRefit(ctx context.Context, f *core.Fitter, cancel context.CancelFunc) {
+// accumulated, catches it up with the batches the stand-in applied
+// meanwhile, and publishes the result once. It owns the fitter for the
+// compute but does NOT hold online.mu — observes go to the stand-in instead
+// of blocking, and prediction traffic is unaffected as always. After the
+// publish it compacts the journal into a fresh snapshot. If a reload
+// replaced the online state while the refit ran, the refit is abandoned —
+// the reloaded model wins. The refit runs under the server's lifetime
+// context, so Close stops it within one ALS iteration instead of letting it
+// outlive the server.
+func (s *Server) backgroundRefit(ctx context.Context, f *core.Fitter, gen int64, cancel context.CancelFunc) {
 	defer cancel()
 	t0 := time.Now()
 	o := &s.online
 	m, err := f.Refit(ctx, nil)
 
 	o.mu.Lock()
-	if o.fitter != f {
-		// A reload superseded this refit; it already closed the staging
-		// window and dropped the staged batches along with the online state.
+	if o.gen != gen {
+		// A reload superseded this refit; it already dropped the backlog
+		// along with the online state.
 		o.refitting = false
-		o.refitFitter = nil
 		o.refitCancel = nil
 		s.met.refitState.Store(refitIdle)
 		o.mu.Unlock()
@@ -379,51 +338,31 @@ func (s *Server) backgroundRefit(ctx context.Context, f *core.Fitter, cancel con
 	}
 	refitErr := err
 
-	// Drain the staging queue under mu, looping until a pass finds it empty —
-	// only then is the window closed, atomically with the last check, so no
-	// staged batch is ever stranded. Batches were validated at staging time
-	// against the same dims progression, so plan errors here are unreachable;
-	// a batch that still fails is dropped rather than wedging the drain.
-	drainedFolds := 0
-	for {
-		o.stageMu.Lock()
-		batches := o.staged
-		o.staged = nil
-		if len(batches) == 0 {
-			o.staging = false
-			o.stageMu.Unlock()
-			break
-		}
-		o.stageMu.Unlock()
-		for _, b := range batches {
-			plan, perr := planObservations(f.Dims(), b.obs)
-			if perr != nil {
-				s.met.errors("observe").Add(1)
-			} else if resp, aerr := s.applyPlan(f, plan, true); aerr != nil {
-				s.met.errors("observe").Add(1)
-			} else {
-				drainedFolds += len(resp.Folded)
-				o.pending += len(b.obs)
-			}
-			// The applied sequence advances even past a dropped batch (both
-			// failure arms are unreachable for plans that validated at
-			// staging time): the stream must stay contiguous, and the
-			// generation bump below re-bootstraps followers anyway.
-			if b.seq > 0 {
-				s.repl.appliedSeq.Store(b.seq)
+	// Catch up under mu: replay the backlog into the refit's fitter in
+	// journal order, re-solving each folded row against the refit's factors,
+	// then let that fitter serve again; the stand-in is dropped with its
+	// partial training set. Every batch already applied cleanly to the
+	// stand-in, which started from this fitter's shape, so a failure here is
+	// unreachable; it is reported rather than wedging the refit.
+	backlog := o.backlog
+	caught, cerr := s.replay(f, 0, func(apply func(store.Record) error) error {
+		for _, rec := range backlog {
+			if err := apply(rec); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if cerr != nil {
+		s.met.errors("observe").Add(1)
+		s.event(slog.LevelError, "refit catch-up failed", "error", cerr)
 	}
-
-	// The fitter returns to the observes (they take the normal path under mu
-	// from here on); refitting stays true until the compaction below is done
-	// so a second refit cannot start and race it on the journal.
-	o.refitFitter = nil
+	o.fitter, o.standIn, o.backlog = f, false, nil
 
 	var final *core.Model
-	if refitOK || drainedFolds > 0 {
+	if refitOK || caught.folds > 0 {
 		final = m
-		if !refitOK || drainedFolds > 0 {
+		if !refitOK || caught.folds > 0 {
 			final = f.Snapshot()
 		}
 		s.install(final)
@@ -431,23 +370,17 @@ func (s *Server) backgroundRefit(ctx context.Context, f *core.Fitter, cancel con
 	if refitOK {
 		// The refit result is not derivable from the journal: followers
 		// tailing the old generation must re-bootstrap. (A failed refit
-		// whose drain folded rows is journal-derived — no bump.)
+		// whose catch-up folded rows is journal-derived — no bump.)
 		s.repl.bumpGen()
-	} else {
-		// The drain advanced the applied sequence under the same identity;
-		// wake stream waiters so caught-up followers fetch it.
-		s.repl.wake()
 	}
 
-	// Capture what compaction needs while observes are quiesced (normal-path
-	// observes block on mu, staging is closed, so the journal cannot move):
-	// a deep copy of the training set and the exact sequence it covers. The
-	// heavy work — holdout scoring, model save, snapshot write — then runs
-	// off the lock; records appended meanwhile have later sequences and
-	// survive the journal rotation.
+	// Capture what compaction needs while observes are blocked on mu, so
+	// the journal cannot move: a deep copy of the training set and the exact
+	// sequence it covers. The heavy work — holdout scoring, model save,
+	// snapshot write — then runs off the lock; records appended meanwhile
+	// have later sequences and survive the journal rotation.
 	var compactX *tensor.Coord
 	var covered uint64
-	gen := o.gen
 	if refitOK && s.dir != nil {
 		compactX = f.TrainingSet()
 		covered = s.journal.LastSeq()
@@ -472,11 +405,10 @@ func (s *Server) backgroundRefit(ctx context.Context, f *core.Fitter, cancel con
 	case refitOK:
 		s.met.refitLastSecs.Store(math.Float64bits(elapsed.Seconds()))
 		s.event(slog.LevelInfo, "refit published", "duration", elapsed,
-			"iterations", s.met.refitIter.Load(), "drained_folds", drainedFolds,
+			"iterations", s.met.refitIter.Load(), "caught_up_folds", caught.folds,
 			"core_nnz", final.Core.NNZ())
 	case errors.Is(refitErr, context.Canceled):
-		// The server is closing (or a reload cancelled the compute but lost
-		// the ownership race); the model keeps serving as-is.
+		// The server is closing; the model keeps serving as-is.
 		s.event(slog.LevelInfo, "refit cancelled", "duration", elapsed)
 	default:
 		// The inconsistency fix: a failed refit used to bump a counter and

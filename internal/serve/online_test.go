@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +188,21 @@ func TestObserveTriggersBackgroundRefit(t *testing.T) {
 	status, body = postJSON(t, ts.URL+"/v1/predict", `{"index":[1,1,1]}`)
 	if status != http.StatusOK {
 		t.Fatalf("predict after refit: %d %s", status, body)
+	}
+}
+
+// TestRefitUsesHostThreads: the Threads a model carries is the count of the
+// host that wrote it. A served model's fitters resume with this host's
+// GOMAXPROCS instead, so a foreign count never sizes a refit's per-thread
+// buffers, and the published refit records the serving host's count.
+func TestRefitUsesHostThreads(t *testing.T) {
+	m := fitModel(t, 7)
+	m.Config.Threads = 4096
+	s, _ := testServer(t, Options{Model: m, RefitAfter: 1})
+	postObserve(t, s, []core.Observation{{Index: []int{1, 1, 1}, Value: 0.5}})
+	waitFor(t, "refit publish", func() bool { return s.met.refits.Load() > 0 })
+	if got, want := s.snapshot().model.Config.Threads, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("published refit has Threads %d, want this host's GOMAXPROCS %d", got, want)
 	}
 }
 

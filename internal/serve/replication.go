@@ -19,10 +19,11 @@ import (
 //
 // Primary side: /v1/journal/bootstrap ships the served model and the journal
 // sequence it covers; /v1/journal long-polls record frames. Both are bounded
-// by the applied sequence — the highest journal record actually reflected in
-// the fitter — never by the journal's own tail: records staged during a
-// background refit are journaled but not yet applied, and streaming them
-// early would let a follower run ahead of the primary's own model. The
+// by the applied sequence — the highest journal record reflected in the
+// served model. An observe journals, applies, publishes and advances it under
+// online.mu, during a background refit too (the batch goes to a stand-in
+// fitter), so a primary holds no journaled-but-unapplied records outside
+// that critical section and followers receive every record at once. The
 // stream identity is (epoch, gen): epoch is persisted and bumped at every
 // primary startup (a restart under a relaxed fsync policy may have lost
 // journal-tail records, so followers must never trust a restarted primary's
@@ -203,8 +204,8 @@ func (s *Server) handleJournalBootstrap(w http.ResponseWriter, r *http.Request) 
 	}
 	// Capture under online.mu: the observe path journals, applies, installs,
 	// and advances the applied sequence under the same lock, so the snapshot
-	// and the sequence here are two views of one state — even mid-refit,
-	// when staged records are journaled but deliberately not yet covered.
+	// and the sequence here are two views of one state — mid-refit too, when
+	// the snapshot is the stand-in's.
 	o := &s.online
 	o.mu.Lock()
 	snap := s.snapshot()
@@ -477,21 +478,7 @@ func (s *Server) resumeReplica() (replicate.Identity, bool) {
 		j.Close()
 		return fail(err)
 	}
-	replayed := 0
-	err = j.Replay(func(rec store.Record) error {
-		if rec.Seq <= covered {
-			return nil
-		}
-		plan, err := planObservations(f.Dims(), rec.Observations)
-		if err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
-		}
-		if _, err := s.applyPlan(f, plan, false); err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
-		}
-		replayed++
-		return nil
-	})
+	n, err := s.replay(f, covered+1, j.Replay)
 	if err != nil {
 		j.Close()
 		return fail(err)
@@ -502,7 +489,7 @@ func (s *Server) resumeReplica() (replicate.Identity, bool) {
 	s.repl.appliedSeq.Store(j.LastSeq())
 	s.repl.fol.lastAdvance.Store(s.now().UnixNano())
 	s.event(slog.LevelInfo, "resumed replica from local state",
-		"seq", j.LastSeq(), "replayed", replayed, "primary", s.opts.Follow)
+		"seq", j.LastSeq(), "replayed", n.records, "primary", s.opts.Follow)
 	return replicate.Identity{Epoch: st.Epoch, Gen: st.Gen}, true
 }
 

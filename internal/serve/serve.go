@@ -31,11 +31,14 @@
 // rows via the row-wise solve of Eq. 4, and atomically publishes the grown
 // snapshot; once Options.RefitAfter observations accumulate, a background
 // warm-started refit rebalances the whole model and is swapped in the same
-// way. Observes arriving during a refit are staged — validated, journaled,
-// buffered — and drained when the refit's result swaps in, so they never
-// block. Every /v1/* endpoint is bounded by a request-body size limit (413)
-// and a per-request timeout (503), and Options.AuthToken puts the mutating
-// endpoints behind a bearer token (401).
+// way. Observes arriving during a refit never block behind it: the refit
+// takes the serving fitter, and they apply to a stand-in resumed from the
+// served snapshot — journaled, folded and published at once, as between
+// refits. When the refit returns, those batches replay into its fitter in
+// journal order, and the result is published once. Every /v1/* endpoint is
+// bounded by a request-body size limit (413) and a per-request timeout
+// (503), and Options.AuthToken puts the mutating endpoints behind a bearer
+// token (401).
 //
 // With Options.DataDir the server is durable: accepted observations are
 // journaled before they are applied, the journal is replayed on startup
@@ -236,7 +239,7 @@ var ErrServerClosed = errors.New("serve: server closed")
 // lockorder analyzer: a goroutine may only acquire locks left-to-right, and
 // must not take one while holding anything to its right.
 //
-//ptlint:lock-order Registry.mu > tenant.mu > Server.reloadMu > online.mu > online.stageMu > Server.durMu > Server.srcMu
+//ptlint:lock-order Registry.mu > tenant.mu > Server.reloadMu > online.mu > Server.durMu > Server.srcMu
 type Server struct {
 	opts Options
 
@@ -502,8 +505,8 @@ func (s *Server) reload(path string) (*snapshot, error) {
 	// Swap and drop the online fitting state under one lock: the loaded
 	// model supersedes anything observed so far, and holding online.mu
 	// means an in-flight background refit either published before this swap
-	// or notices the reset and abandons its (now stale) result. The staging
-	// window is closed with it — staged batches belong to the dropped state.
+	// or notices the reset and abandons its (now stale) result. Its backlog
+	// goes too — those batches belong to the dropped state.
 	// The durable re-base happens after the swap is committed: if it fails,
 	// the reload still stands in memory, and the data directory keeps the
 	// previous mutually-consistent state (old base + old journal), so a
@@ -523,11 +526,7 @@ func (s *Server) reload(path string) (*snapshot, error) {
 		// fitter and its result would be discarded anyway).
 		o.refitCancel()
 	}
-	o.stageMu.Lock()
-	o.staging = false
-	o.staged = nil
-	o.stagedCount = 0
-	o.stageMu.Unlock()
+	o.standIn, o.backlog = false, nil
 	s.rebaseDurable(m, o.gen)
 	o.mu.Unlock()
 
@@ -556,9 +555,7 @@ func (s *Server) Close() {
 		// Quiesce observes (and any refit end-phase) before the final flush,
 		// so nothing appends to a closed journal.
 		s.online.mu.Lock()
-		s.online.stageMu.Lock()
 		_ = s.journal.Close()
-		s.online.stageMu.Unlock()
 		s.online.mu.Unlock()
 	}
 	// Unmap last: the HTTP server is down (the documented Close contract), so

@@ -44,7 +44,7 @@ func plantedTensor(rng *rand.Rand, dims, ranks []int, nnz int, noise float64) *t
 		for k := 0; k < n; k++ {
 			rows[k] = factors[k].Row(idx[k])
 		}
-		v := predictWithRows(g, rows) + noise*rng.NormFloat64()
+		v := predictWithRows(g, rows, nil) + noise*rng.NormFloat64()
 		t.MustAppend(idx, v)
 	}
 	return t

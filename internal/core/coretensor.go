@@ -27,11 +27,16 @@ const RotationDropTol = 1e-14
 // Entry e has multi-index Idx[e*N : (e+1)*N] and value Val[e]. Every core
 // the library builds keeps its entries in little-endian linear offset order
 // (mode 0 fastest): NewRandomCore and FromDense enumerate that order, the
-// sparse rotation emits it, and RemoveEntries preserves it.
+// sparse rotation emits it, and RemoveEntries preserves it. Each of them, and
+// the model decoder, also rebuilds the contraction kernel's per-mode index
+// (see contract.go); Clone copies it.
 type CoreTensor struct {
 	dims []int
 	idx  []int
 	val  []float64
+
+	modes   []coreMode // the kernel's index of each mode
+	kronMax int        // the largest Kronecker product any mode forms
 }
 
 // NewRandomCore returns a full core with dims = ranks whose values are drawn
@@ -61,6 +66,7 @@ func NewRandomCore(ranks []int, rng *rand.Rand) *CoreTensor {
 			cur[k] = 0
 		}
 	}
+	c.index()
 	return c
 }
 
@@ -88,11 +94,26 @@ func (c *CoreTensor) SetValue(e int, v float64) { c.val[e] = v }
 
 // Clone returns a deep copy.
 func (c *CoreTensor) Clone() *CoreTensor {
-	return &CoreTensor{
-		dims: append([]int(nil), c.dims...),
-		idx:  append([]int(nil), c.idx...),
-		val:  append([]float64(nil), c.val...),
+	d := &CoreTensor{
+		dims:    append([]int(nil), c.dims...),
+		idx:     append([]int(nil), c.idx...),
+		val:     append([]float64(nil), c.val...),
+		modes:   make([]coreMode, len(c.modes)),
+		kronMax: c.kronMax,
 	}
+	nnz := len(c.val)
+	slab := make([]int32, 2*len(c.modes)*nnz)
+	for n, m := range c.modes {
+		beta, off := slab[:nnz:nnz], slab[nnz:2*nnz:2*nnz]
+		slab = slab[2*nnz:]
+		copy(beta, m.beta)
+		d.modes[n] = coreMode{beta: beta, kron: m.kron}
+		if m.off != nil {
+			copy(off, m.off)
+			d.modes[n].off = off
+		}
+	}
+	return d
 }
 
 // strides returns the little-endian linear strides of the core's shape:
@@ -141,6 +162,13 @@ func (c *CoreTensor) offsetSorted() bool {
 // list) are marked true in drop, compacting the list in place. It returns the
 // number of removed entries. The survivors keep their relative order.
 func (c *CoreTensor) RemoveEntries(drop []bool) int {
+	removed := c.compact(drop)
+	c.index()
+	return removed
+}
+
+// compact is RemoveEntries without the index rebuild.
+func (c *CoreTensor) compact(drop []bool) int {
 	n := len(c.dims)
 	w := 0
 	removed := 0
@@ -185,6 +213,7 @@ func (c *CoreTensor) FromDense(d *tensor.Dense) {
 		c.idx = append(c.idx, idx...)
 		c.val = append(c.val, v)
 	}
+	c.index()
 }
 
 // RotateAll applies G ← G ×1 R(1) ··· ×N R(N) (Eq. 8), the core update that
@@ -272,7 +301,7 @@ func (c *CoreTensor) RotateAllSparse(rs []*mat.Dense, keep int, tol float64) {
 			}
 		}
 		if any {
-			c.RemoveEntries(drop)
+			c.compact(drop)
 		}
 	}
 
@@ -294,8 +323,9 @@ func (c *CoreTensor) RotateAllSparse(rs []*mat.Dense, keep int, tol float64) {
 		for _, e := range ord[keep:] {
 			drop[e] = true
 		}
-		c.RemoveEntries(drop)
+		c.compact(drop)
 	}
+	c.index()
 }
 
 // MaxAbsEntries returns the k entries with the largest |Gβ| along with their

@@ -378,15 +378,20 @@ func decodeModel(data []byte, inPlace bool) (*Model, error) {
 	if err := checkDecoded(factors, g, flags); err != nil {
 		return nil, err
 	}
+	g.index()
 	return m, nil
 }
 
 // checkDecoded is the structural check every decode runs once a stream's
 // checksums pass, so a corrupt-but-checksummed (or crafted) file fails at
-// load time instead of panicking inside a serve-path kernel: factor k must
-// have exactly dims[k] columns, every core entry index must address a valid
-// column, and a set sorted bit in flags must hold.
+// load time instead of panicking inside a serve-path kernel: the model must
+// have at least one mode, factor k must have exactly dims[k] columns, every
+// core entry index must address a valid column, and a set sorted bit in
+// flags must hold.
 func checkDecoded(factors []*mat.Dense, g *CoreTensor, flags uint8) error {
+	if len(factors) == 0 {
+		return fmt.Errorf("%w: model has no modes", ErrBadModelFormat)
+	}
 	for k, a := range factors {
 		if a.Cols() != g.dims[k] {
 			return fmt.Errorf("%w: factor %d has %d columns but core dim is %d",

@@ -44,13 +44,15 @@ func syntheticModel(tb testing.TB, seed int64, dims, ranks []int) *Model {
 }
 
 // swapFirstTwoEntries exchanges core entries 0 and 1, breaking the offset
-// order of any core with at least two entries.
+// order of any core with at least two entries, and rebuilds the kernel's
+// index for the new entry list.
 func swapFirstTwoEntries(g *CoreTensor) {
 	n := g.Order()
 	for k := 0; k < n; k++ {
 		g.idx[k], g.idx[n+k] = g.idx[n+k], g.idx[k]
 	}
 	g.val[0], g.val[1] = g.val[1], g.val[0]
+	g.index()
 }
 
 func encodeModel(tb testing.TB, m *Model) []byte {

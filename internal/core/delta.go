@@ -12,18 +12,16 @@ const aZeroTol = 1e-12
 // entry alpha and the given mode: δ(jn) = Σ_{β∈G, βn=jn} Gβ ∏_{k≠n}
 // A(k)[ik][jk]. It returns the filled slice (length Jn).
 //
-// Plain P-Tucker recomputes the N-1 factor products per core entry, costing
-// O(N) per (α,β) pair; P-Tucker-Cache divides the memoized full product
-// Pres[α][β] by the mode-n factor entry, costing O(1) (this is the entire
-// time-vs-memory trade of the variant).
+// Plain P-Tucker runs the contraction kernel (contract.go), which forms the
+// Kronecker product of the other factor rows once and makes one
+// multiply-add per core entry; P-Tucker-Cache divides the memoized full
+// product Pres[α][β] by the mode-n factor entry, costing O(1) per core entry
+// (this is the entire time-vs-memory trade of the variant).
 func (st *state) computeDelta(mode, alpha int, w *workspace) []float64 {
 	g := st.core
 	n := g.Order()
 	jn := st.cfg.Ranks[mode]
 	delta := w.delta[:jn]
-	for j := range delta {
-		delta[j] = 0
-	}
 
 	idx := st.x.Index(alpha)
 	rows := w.rows
@@ -31,23 +29,19 @@ func (st *state) computeDelta(mode, alpha int, w *workspace) []float64 {
 		rows[k] = st.factors[k].Row(idx[k])
 	}
 
-	gi := g.idx
-	gv := g.val
 	if st.cache == nil {
-		for e := 0; e < len(gv); e++ {
-			base := e * n
-			prod := gv[e]
-			for k := 0; k < n; k++ {
-				if k == mode {
-					continue
-				}
-				prod *= rows[k][gi[base+k]]
-			}
-			delta[gi[base+mode]] += prod
+		if len(w.kron) < g.kronMax {
+			w.kron = make([]float64, g.kronMax)
 		}
+		g.contract(mode, rows, w.kron, delta, nil)
 		return delta
 	}
 
+	for j := range delta {
+		delta[j] = 0
+	}
+	gi := g.idx
+	gv := g.val
 	// Cached path: δ(jn) += Pres[α][e] / A(n)[in][jn], with the direct
 	// product as fallback when the factor entry is (numerically) zero.
 	row := st.cache[alpha*st.cacheW : alpha*st.cacheW+len(gv)]

@@ -81,7 +81,7 @@ func TestExactErrorPassWhereDerivationFails(t *testing.T) {
 		for k := range rows {
 			rows[k] = start.factors[k].Row(idx[k])
 		}
-		exactFit.MustAppend(idx, predictWithRows(start.core, rows))
+		exactFit.MustAppend(idx, predictWithRows(start.core, rows, nil))
 	}
 
 	cfg.MaxIters = 1

@@ -54,8 +54,10 @@ type Model struct {
 	// bit-identical at any Config.Threads.
 	TrainError float64
 	// IntermediateBytes is the analytic intermediate-data requirement of the
-	// run in bytes (Definition 7): per-thread workspaces O(T·J²) for
-	// P-Tucker, plus the cache table O(|Ω|·|G|) for P-Tucker-Cache. It is the
+	// run in bytes (Definition 7): per-thread workspaces — δ, c, B, the
+	// Cholesky factor and the contraction kernel's Kronecker buffer, O(T·(J²
+	// + J^{N−1})) on a dense core — plus the kernel's 8·N·|G| bytes of index
+	// arrays, plus the cache table O(|Ω|·|G|) for P-Tucker-Cache. It is the
 	// quantity Table III and Figures 8(b)/10(b) report.
 	IntermediateBytes int64
 	// WorkPerThread is the number of factor rows processed by each worker
@@ -83,24 +85,32 @@ func (m *Model) Predict(idx []int) float64 {
 	for k := 0; k < n; k++ {
 		rows[k] = m.Factors[k].Row(idx[k])
 	}
-	return predictWithRows(m.Core, rows)
+	// A small core's kernel scratch fits on the stack.
+	var small [128]float64
+	return predictWithRows(m.Core, rows, small[:])
 }
 
 // predictWithRows evaluates Eq. (4) given pre-fetched factor rows for each
-// mode as one flat scan over the live entries, so its cost is linear in |G|.
-// It is the one kernel behind prediction, the error pass and sparsify
-// scoring.
-func predictWithRows(g *CoreTensor, rows [][]float64) float64 {
-	n := len(rows)
+// mode: the contraction kernel's δ of the last mode, dotted with that mode's
+// row, Σ_j rows[N][j]·δ(N)(j). Its cost is linear in |G| plus one Kronecker
+// product of the other rows. It is the one prediction behind Predict,
+// PredictBatch, the exact error pass and Sparsify's probes, and it sums in
+// the order of mat.Dot(row, δ), so a TopK score over the last mode equals
+// Predict bit for bit.
+//
+// buf is scratch: it is used when it holds g.scratchLen() floats, and a new
+// buffer is allocated otherwise.
+func predictWithRows(g *CoreTensor, rows [][]float64, buf []float64) float64 {
+	last := len(rows) - 1
+	jn := g.dims[last]
+	if len(buf) < g.kronMax+jn {
+		buf = make([]float64, g.kronMax+jn)
+	}
+	delta := buf[g.kronMax : g.kronMax+jn]
+	g.contract(last, rows, buf, delta, nil)
 	var sum float64
-	gi := g.idx
-	for e, gv := range g.val {
-		prod := gv
-		base := e * n
-		for k := 0; k < n; k++ {
-			prod *= rows[k][gi[base+k]]
-		}
-		sum += prod
+	for j, a := range rows[last][:jn] {
+		sum += a * delta[j]
 	}
 	return sum
 }
@@ -124,8 +134,10 @@ func reconstructionError(x *tensor.Coord, factors []*mat.Dense, g *CoreTensor, t
 		threads = 1
 	}
 	rowsBuf := make([][][]float64, threads)
+	scratch := make([][]float64, threads)
 	for t := range rowsBuf {
 		rowsBuf[t] = make([][]float64, n)
+		scratch[t] = make([]float64, g.scratchLen())
 	}
 	ss := parallelSum(threads, nnz, func(tid, e int) float64 {
 		rows := rowsBuf[tid]
@@ -133,7 +145,7 @@ func reconstructionError(x *tensor.Coord, factors []*mat.Dense, g *CoreTensor, t
 		for k := 0; k < n; k++ {
 			rows[k] = factors[k].Row(idx[k])
 		}
-		r := x.Value(e) - predictWithRows(g, rows)
+		r := x.Value(e) - predictWithRows(g, rows, scratch[tid])
 		return r * r
 	})
 	return math.Sqrt(ss)

@@ -35,9 +35,19 @@ type Predictor struct {
 	pool    *sync.Pool
 }
 
-// predictScratch is the per-call workspace: one factor-row pointer per mode.
+// predictScratch is the per-call workspace: one factor-row pointer per mode
+// and the contraction kernel's scratch (core.scratchLen()).
 type predictScratch struct {
 	rows [][]float64
+	buf  []float64
+}
+
+// newScratchPool returns the pool of per-call workspaces for a predictor
+// over an order-mode model with core g.
+func newScratchPool(order int, g *CoreTensor) *sync.Pool {
+	return &sync.Pool{New: func() interface{} {
+		return &predictScratch{rows: make([][]float64, order), buf: make([]float64, g.scratchLen())}
+	}}
 }
 
 // NewPredictor builds a concurrent-safe predictor from a fitted model,
@@ -57,9 +67,7 @@ func NewPredictor(m *Model) *Predictor {
 		dims:    dims,
 		workers: runtime.GOMAXPROCS(0),
 	}
-	p.pool = &sync.Pool{New: func() interface{} {
-		return &predictScratch{rows: make([][]float64, order)}
-	}}
+	p.pool = newScratchPool(order, p.core)
 	return p
 }
 
@@ -86,9 +94,7 @@ func NewPredictorShared(m *Model) *Predictor {
 		dims:    dims,
 		workers: runtime.GOMAXPROCS(0),
 	}
-	p.pool = &sync.Pool{New: func() interface{} {
-		return &predictScratch{rows: make([][]float64, order)}
-	}}
+	p.pool = newScratchPool(order, p.core)
 	return p
 }
 
@@ -164,7 +170,7 @@ func (p *Predictor) predictInto(s *predictScratch, idx []int) float64 {
 	for k, a := range p.factors {
 		rows[k] = a.Row(idx[k])
 	}
-	return predictWithRows(p.core, rows)
+	return predictWithRows(p.core, rows, s.buf)
 }
 
 // minBatchParallel is the batch size below which the goroutine fan-out costs

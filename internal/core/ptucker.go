@@ -280,9 +280,13 @@ type state struct {
 }
 
 // intermediateBytes returns the analytic intermediate-data footprint
-// (Definition 7) of the configured variant, matching Table III:
-// O(T·J²) for P-Tucker (each thread holds δ, c, B, and the Cholesky factor),
-// plus O(|Ω|·|G|) for the cache table.
+// (Definition 7) of the configured variant, matching Table III with the
+// contraction kernel counted: per thread, δ, c, B and the Cholesky factor
+// (O(J²)) and the Kronecker buffer of the largest mode on the kernel's
+// Kronecker side (Π_{k≠n} J_k, at most |G|); the kernel's two int32 index
+// arrays per mode (8·N·|G| bytes); plus O(|Ω|·|G|) for the cache table.
+// For a dense core that is O(T·(J² + J^{N−1}) + N·J^N). Core sizes are those
+// of the core the fit ends with.
 func (st *state) intermediateBytes() int64 {
 	maxJ := 0
 	for _, j := range st.cfg.Ranks {
@@ -290,24 +294,27 @@ func (st *state) intermediateBytes() int64 {
 			maxJ = j
 		}
 	}
-	perThread := int64(2*maxJ*maxJ+2*maxJ) * 8
-	total := int64(st.cfg.Threads) * perThread
+	g := st.core
+	perThread := int64(2*maxJ*maxJ+2*maxJ+g.kronMax) * 8
+	total := int64(st.cfg.Threads)*perThread + 8*int64(g.Order())*int64(g.NNZ())
 	if st.cfg.Method == PTuckerCache {
-		total += int64(st.x.NNZ()) * int64(st.core.NNZ()) * 8
+		total += int64(st.x.NNZ()) * int64(g.NNZ()) * 8
 	}
 	return total
 }
 
 // workspace is the per-thread scratch of the row update: the δ vector, the
 // normal matrix B, the right-hand side c, the Cholesky factor of [B + λI],
-// and a buffer of factor-row pointers. Its size is what gives P-Tucker its
-// O(T·J²) memory bound; a row solve allocates nothing beyond it.
+// a buffer of factor-row pointers, and the kernel's Kronecker buffer. Its
+// size is what gives P-Tucker its O(T·(J² + J^{N−1})) memory bound; a row
+// solve allocates nothing beyond it.
 type workspace struct {
 	delta []float64
 	b     *mat.Dense
 	c     []float64
 	chol  mat.Cholesky
 	rows  [][]float64
+	kron  []float64 // the contraction kernel's Kronecker buffer, sized on first use
 }
 
 func newWorkspace(order, maxJ int) *workspace {

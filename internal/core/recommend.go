@@ -12,19 +12,22 @@ import (
 // (user, time), rank all movies), it returns the K free-mode indices with the
 // highest predicted values.
 //
-// Scoring every candidate with Predict would cost O(I·|G|·N) per query. The
-// recommender instead contracts the core with the fixed factor rows once —
-// w[j] = Σ_{β: β_m=j} Gβ · ∏_{k≠m} A(k)[i_k][β_k], an O(|G|·N) pass — after
-// which every candidate's score is the dot product A(m)[i]·w, an O(I·J)
-// dense sweep feeding a bounded min-heap. Mathematically each score equals
-// Predict on the same cell; numerically the contraction reassociates the
-// float64 sum (grouping core entries by their free-mode coordinate), so a
-// score can differ from Predict by rounding in the last few ulps. The
-// ranking itself is deterministic: equal queries on equal snapshots always
-// return the identical ordering.
+// Scoring every candidate with Predict would cost a core contraction per
+// candidate. The recommender instead runs the contraction kernel once for
+// the free mode m — w[j] = Σ_{β: β_m=j} Gβ · ∏_{k≠m} A(k)[i_k][β_k], the
+// Eq. 12 δ of the fixed rows — after which every candidate's score is the
+// dot product A(m)[i]·w, an O(I·J) dense sweep feeding a bounded min-heap.
+// Predict is the same kernel for the last mode dotted with its row, in the
+// same order, so when the free mode is the last one each score equals
+// Predict on that cell bit for bit. For any other free mode the sum groups
+// core entries by that mode's coordinate instead, so a score can differ from
+// Predict by rounding in the last few ulps. The ranking itself is
+// deterministic: equal queries on equal snapshots always return the
+// identical ordering.
 //
-// A Recommender shares the Predictor's immutable factor and core snapshots,
-// so deriving one is free and it is safe for concurrent use.
+// A Recommender shares the Predictor's immutable factor and core snapshots
+// and its scratch pool, so deriving one is free and it is safe for
+// concurrent use.
 type Recommender struct {
 	p *Predictor
 }
@@ -93,7 +96,9 @@ func (r *Recommender) TopKExcluding(query []int, freeMode, k int, exclude []int)
 		k = candidates
 	}
 
-	w := r.contract(query, freeMode)
+	s := p.pool.Get().(*predictScratch)
+	defer p.pool.Put(s)
+	w := r.contract(s, query, freeMode)
 
 	// Dense sweep over the candidates with a size-k min-heap: the root is
 	// the worst kept recommendation, replaced whenever a candidate beats it.
@@ -122,32 +127,19 @@ func (r *Recommender) TopKExcluding(query []int, freeMode, k int, exclude []int)
 	return out, nil
 }
 
-// contract folds the core with the fixed factor rows, producing the weight
-// vector w of length J_free with w[j] = Σ_{β: β_m=j} Gβ·∏_{k≠m} A(k)[i_k][β_k],
-// in one flat scan over the live entries.
-func (r *Recommender) contract(query []int, freeMode int) []float64 {
+// contract runs the contraction kernel for the free mode on the query's
+// fixed factor rows, producing the weight vector w of length J_free with
+// w[j] = Σ_{β: β_m=j} Gβ·∏_{k≠m} A(k)[i_k][β_k]. w lives in s.
+func (r *Recommender) contract(s *predictScratch, query []int, freeMode int) []float64 {
 	p := r.p
-	n := len(p.dims)
 	g := p.core
-	rows := make([][]float64, n)
-	for m := 0; m < n; m++ {
+	for m, a := range p.factors {
 		if m != freeMode {
-			rows[m] = p.factors[m].Row(query[m])
+			s.rows[m] = a.Row(query[m])
 		}
 	}
-	w := make([]float64, p.factors[freeMode].Cols())
-	gi := g.idx
-	for e, v := range g.val {
-		base := e * n
-		prod := v
-		for m := 0; m < n; m++ {
-			if m == freeMode {
-				continue
-			}
-			prod *= rows[m][gi[base+m]]
-		}
-		w[gi[base+freeMode]] += prod
-	}
+	w := s.buf[g.kronMax : g.kronMax+g.dims[freeMode]]
+	g.contract(freeMode, s.rows, s.buf, w, nil)
 	return w
 }
 

@@ -15,9 +15,11 @@ import (
 //
 // Using pβ(α) = Gβ·∏_n A(n)[in][jn] and full(α) = Σ_γ pγ(α), Eq. 13
 // simplifies to R(β) = Σ_α pβ(α)·(2·(full(α) - Xα) - pβ(α)), which is what
-// the inner loop evaluates. Cost is O(|Ω|·|G|·N), computed in parallel over
-// partialErrorSpans contiguous spans of the entries: each span adds its
-// entries in order, then the spans are added in span order.
+// the inner loop evaluates. The products pβ(α) come from the contraction
+// kernel for the last mode (or from the Pres table of P-Tucker-Cache), so
+// cost is O(|Ω|·|G|) plus one Kronecker product per entry, computed in
+// parallel over partialErrorSpans contiguous spans of the entries: each span
+// adds its entries in order, then the spans are added in span order.
 func PartialErrors(st *state) []float64 {
 	x := st.x
 	g := st.core
@@ -29,16 +31,14 @@ func PartialErrors(st *state) []float64 {
 
 	acc := make([]float64, spans*width) // span s sums into acc[s*width:]
 	prodBuf := make([][]float64, threads)
+	kronBuf := make([][]float64, threads)
+	rowsBuf := make([][][]float64, threads)
 	for t := range prodBuf {
 		prodBuf[t] = make([]float64, width)
-	}
-	rowsBuf := make([][][]float64, threads)
-	for t := range rowsBuf {
+		kronBuf[t] = make([]float64, g.kronMax)
 		rowsBuf[t] = make([][]float64, n)
 	}
 
-	gi := g.idx
-	gv := g.val
 	runIndexed(threads, ScheduleStatic, spans, func(tid, s int) {
 		rows := rowsBuf[tid]
 		prods := prodBuf[tid]
@@ -48,23 +48,14 @@ func PartialErrors(st *state) []float64 {
 			for k := 0; k < n; k++ {
 				rows[k] = st.factors[k].Row(idx[k])
 			}
-			var full float64
 			if st.cache != nil {
-				cacheRow := st.cache[alpha*st.cacheW : alpha*st.cacheW+width]
-				copy(prods, cacheRow)
-				for _, p := range prods {
-					full += p
-				}
+				copy(prods, st.cache[alpha*st.cacheW:alpha*st.cacheW+width])
 			} else {
-				for e := 0; e < width; e++ {
-					base := e * n
-					p := gv[e]
-					for k := 0; k < n; k++ {
-						p *= rows[k][gi[base+k]]
-					}
-					prods[e] = p
-					full += p
-				}
+				g.contract(n-1, rows, kronBuf[tid], nil, prods)
+			}
+			var full float64
+			for _, p := range prods {
+				full += p
 			}
 			xv := x.Value(alpha)
 			for e, p := range prods {

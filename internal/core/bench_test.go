@@ -161,3 +161,45 @@ func BenchmarkFoldIn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkContract runs the contraction kernel for every mode of 1024 fixed
+// observed entries: on fit-plain's dense 5³ core (every mode on the
+// Kronecker side), and on a 6,6,2,2 core kept to 14 of its 144 entries
+// (every mode on the per-entry side).
+func BenchmarkContract(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		ranks []int
+		every int
+	}{
+		{"dense", []int{5, 5, 5}, 1},
+		{"pruned", []int{6, 6, 2, 2}, 11},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := kernelCore(12, c.ranks, c.every)
+			rng := rand.New(rand.NewSource(13))
+			const entries = 1024
+			rows := make([][][]float64, entries)
+			for i := range rows {
+				rows[i] = make([][]float64, len(c.ranks))
+				for k, j := range c.ranks {
+					rows[i][k] = make([]float64, j)
+					for jj := range rows[i][k] {
+						rows[i][k][jj] = rng.Float64()
+					}
+				}
+			}
+			kron := make([]float64, g.kronMax)
+			delta := make([]float64, 6)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, r := range rows {
+					for n := range c.ranks {
+						g.contract(n, r, kron, delta, nil)
+					}
+				}
+			}
+		})
+	}
+}

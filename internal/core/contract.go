@@ -80,17 +80,6 @@ func mulSat(a, b, limit int) int {
 	return min(a*b, limit)
 }
 
-// scratchLen is the length of a buffer that holds the kernel's Kronecker
-// product for any mode followed by a δ of any mode: what one thread needs to
-// call contract and predictWithRows.
-func (c *CoreTensor) scratchLen() int {
-	maxJ := 0
-	for _, j := range c.dims {
-		maxJ = max(maxJ, j)
-	}
-	return c.kronMax + maxJ
-}
-
 // contract runs the kernel for mode n on one observed entry whose factor
 // rows are rows (rows[n] is read only for terms). kron is scratch of at
 // least c.kronMax floats.
@@ -126,21 +115,38 @@ func (c *CoreTensor) contract(n int, rows [][]float64, kron, delta, terms []floa
 		return
 	}
 
-	order := len(c.dims)
-	for e, g := range val {
-		idx := c.idx[e*order : (e+1)*order]
-		p := 1.0
-		for k, r := range rows {
-			if k != n {
-				p *= r[idx[k]]
-			}
+	if terms != nil {
+		r := rows[n]
+		for e, g := range val {
+			terms[e] = g * c.rowProduct(n, e, rows) * r[beta[e]]
 		}
-		if terms != nil {
-			terms[e] = g * p * rows[n][beta[e]]
-		} else {
-			delta[beta[e]] += g * p
+		return
+	}
+	for e, g := range val {
+		delta[beta[e]] += g * c.rowProduct(n, e, rows)
+	}
+}
+
+// rowProduct is the per-entry side's product of the rows other than n at
+// entry e's coordinates, multiplied left to right in increasing mode order
+// like the Kronecker product (whose leading 1· is exact and left out).
+func (c *CoreTensor) rowProduct(n, e int, rows [][]float64) float64 {
+	order := len(c.dims)
+	idx := c.idx[e*order : e*order+order]
+	lo := 0
+	if n == 0 {
+		lo = 1
+	}
+	if lo == order {
+		return 1
+	}
+	p := rows[lo][idx[lo]]
+	for k := lo + 1; k < order; k++ {
+		if k != n {
+			p *= rows[k][idx[k]]
 		}
 	}
+	return p
 }
 
 // kronecker forms in buf the little-endian Kronecker product of rows[k],

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"strconv"
 	"testing"
 )
 
@@ -92,6 +93,11 @@ func FuzzReadModel(f *testing.F) {
 		metaFlip := append([]byte(nil), seeds[0]...)
 		metaFlip[len(metaFlip)-footerSize] ^= 0x01
 		f.Add(metaFlip)
+	}
+	// Four 0×2³¹ factors and core dims of 2³¹ each: the declared dims must
+	// size nothing.
+	if strconv.IntSize == 64 {
+		f.Add(hostileDimsStream(f, 1<<31))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -98,7 +98,7 @@ func (m *Model) Predict(idx []int) float64 {
 // the order of mat.Dot(row, δ), so a TopK score over the last mode equals
 // Predict bit for bit.
 //
-// buf is scratch: it is used when it holds g.scratchLen() floats, and a new
+// buf is scratch: it is used when it holds g.kronMax + J_N floats, and a new
 // buffer is allocated otherwise.
 func predictWithRows(g *CoreTensor, rows [][]float64, buf []float64) float64 {
 	last := len(rows) - 1
@@ -133,19 +133,17 @@ func reconstructionError(x *tensor.Coord, factors []*mat.Dense, g *CoreTensor, t
 	if threads < 1 {
 		threads = 1
 	}
-	rowsBuf := make([][][]float64, threads)
-	scratch := make([][]float64, threads)
-	for t := range rowsBuf {
-		rowsBuf[t] = make([][]float64, n)
-		scratch[t] = make([]float64, g.scratchLen())
-	}
+	// Each thread's factor rows and kernel scratch, one allocation each.
+	rowsBuf := make([][]float64, threads*n)
+	size := g.kronMax + g.dims[n-1]
+	scratch := make([]float64, threads*size)
 	ss := parallelSum(threads, nnz, func(tid, e int) float64 {
-		rows := rowsBuf[tid]
+		rows := rowsBuf[tid*n : (tid+1)*n]
 		idx := x.Index(e)
 		for k := 0; k < n; k++ {
 			rows[k] = factors[k].Row(idx[k])
 		}
-		r := x.Value(e) - predictWithRows(g, rows, scratch[tid])
+		r := x.Value(e) - predictWithRows(g, rows, scratch[tid*size:(tid+1)*size])
 		return r * r
 	})
 	return math.Sqrt(ss)

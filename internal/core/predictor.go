@@ -36,17 +36,27 @@ type Predictor struct {
 }
 
 // predictScratch is the per-call workspace: one factor-row pointer per mode
-// and the contraction kernel's scratch (core.scratchLen()).
+// and the contraction kernel's scratch — a Kronecker buffer followed by one
+// δ.
 type predictScratch struct {
 	rows [][]float64
 	buf  []float64
 }
 
-// newScratchPool returns the pool of per-call workspaces for a predictor
-// over an order-mode model with core g.
-func newScratchPool(order int, g *CoreTensor) *sync.Pool {
+// newScratchPool returns the pool of per-call workspaces for p. The δ part
+// is sized by the widest factor that has rows: Predict's δ is of the last
+// mode and a TopK's of its free mode, and neither runs for a mode without
+// rows, so a model file's declared width for such a mode sizes nothing.
+func newScratchPool(p *Predictor) *sync.Pool {
+	size := p.core.kronMax
+	for _, a := range p.factors {
+		if a.Rows() > 0 {
+			size = max(size, p.core.kronMax+a.Cols())
+		}
+	}
+	order := len(p.factors)
 	return &sync.Pool{New: func() interface{} {
-		return &predictScratch{rows: make([][]float64, order), buf: make([]float64, g.scratchLen())}
+		return &predictScratch{rows: make([][]float64, order), buf: make([]float64, size)}
 	}}
 }
 
@@ -67,7 +77,7 @@ func NewPredictor(m *Model) *Predictor {
 		dims:    dims,
 		workers: runtime.GOMAXPROCS(0),
 	}
-	p.pool = newScratchPool(order, p.core)
+	p.pool = newScratchPool(p)
 	return p
 }
 
@@ -94,7 +104,7 @@ func NewPredictorShared(m *Model) *Predictor {
 		dims:    dims,
 		workers: runtime.GOMAXPROCS(0),
 	}
-	p.pool = newScratchPool(order, p.core)
+	p.pool = newScratchPool(p)
 	return p
 }
 

@@ -318,10 +318,11 @@ type workspace struct {
 }
 
 func newWorkspace(order, maxJ int) *workspace {
+	buf := make([]float64, maxJ*maxJ+2*maxJ) // B, then δ and c
 	return &workspace{
-		delta: make([]float64, maxJ),
-		b:     mat.NewDense(maxJ, maxJ),
-		c:     make([]float64, maxJ),
+		delta: buf[maxJ*maxJ : maxJ*maxJ+maxJ],
+		b:     mat.NewDenseData(maxJ, maxJ, buf[:maxJ*maxJ]),
+		c:     buf[maxJ*maxJ+maxJ:],
 		rows:  make([][]float64, order),
 	}
 }

@@ -95,6 +95,9 @@ func (r *Recommender) TopKExcluding(query []int, freeMode, k int, exclude []int)
 	if candidates := p.dims[freeMode] - len(excluded); k > candidates {
 		k = candidates
 	}
+	if k == 0 {
+		return []Rec{}, nil
+	}
 
 	s := p.pool.Get().(*predictScratch)
 	defer p.pool.Put(s)

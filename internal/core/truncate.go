@@ -30,18 +30,17 @@ func PartialErrors(st *state) []float64 {
 	spans := min(partialErrorSpans, nnz)
 
 	acc := make([]float64, spans*width) // span s sums into acc[s*width:]
+	// Each thread's products, followed by its Kronecker buffer.
 	prodBuf := make([][]float64, threads)
-	kronBuf := make([][]float64, threads)
 	rowsBuf := make([][][]float64, threads)
 	for t := range prodBuf {
-		prodBuf[t] = make([]float64, width)
-		kronBuf[t] = make([]float64, g.kronMax)
+		prodBuf[t] = make([]float64, width+g.kronMax)
 		rowsBuf[t] = make([][]float64, n)
 	}
 
 	runIndexed(threads, ScheduleStatic, spans, func(tid, s int) {
 		rows := rowsBuf[tid]
-		prods := prodBuf[tid]
+		prods, kron := prodBuf[tid][:width], prodBuf[tid][width:]
 		out := acc[s*width : (s+1)*width]
 		for alpha := s * nnz / spans; alpha < (s+1)*nnz/spans; alpha++ {
 			idx := x.Index(alpha)
@@ -51,7 +50,7 @@ func PartialErrors(st *state) []float64 {
 			if st.cache != nil {
 				copy(prods, st.cache[alpha*st.cacheW:alpha*st.cacheW+width])
 			} else {
-				g.contract(n-1, rows, kronBuf[tid], nil, prods)
+				g.contract(n-1, rows, kron, nil, prods)
 			}
 			var full float64
 			for _, p := range prods {

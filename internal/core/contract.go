@@ -25,7 +25,6 @@ package core
 type coreMode struct {
 	beta []int32 // βn of each entry
 	off  []int32 // offset of β without mode n into the Kronecker product; nil on the per-entry side
-	kron int     // Π_{k≠n} J_k on the Kronecker side
 }
 
 // index rebuilds the kernel's per-mode arrays from the entry list. Every
@@ -67,7 +66,7 @@ func (c *CoreTensor) indexModes(limit int) {
 			}
 			off[e] = int32(o)
 		}
-		m.off, m.kron = off, size
+		m.off = off
 		c.kronMax = max(c.kronMax, size)
 	}
 }

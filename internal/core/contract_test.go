@@ -210,7 +210,7 @@ func hostileDimsStream(tb testing.TB, cols int) []byte {
 // stream (or reject it as malformed) without a panic, the kernel's
 // Kronecker product saturates instead of overflowing, and opening the
 // stream and answering from it allocates no more than the same stream with
-// dims of 2.
+// dims of 2. A stream that declares no modes is rejected.
 func TestHostileCoreDimsStayBounded(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("2³¹ does not fit a 32-bit int")
@@ -250,5 +250,19 @@ func TestHostileCoreDimsStayBounded(t *testing.T) {
 	}
 	if got := mulSat(1<<31, 1<<31, 94); got != 94 {
 		t.Fatalf("mulSat(2³¹, 2³¹, 94) = %d", got)
+	}
+
+	// A stream with no modes at all leaves prediction no mode to contract:
+	// both decoders refuse it.
+	var buf bytes.Buffer
+	noModes := &Model{Core: &CoreTensor{val: []float64{1.5}}, Config: Defaults(nil)}
+	if _, err := noModes.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadModel(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadModelFormat) {
+		t.Fatalf("ReadModel of a model with no modes: err = %v, want ErrBadModelFormat", err)
+	}
+	if _, err := ModelFromMapping(alignedCopy(buf.Bytes())); !errors.Is(err, ErrBadModelFormat) {
+		t.Fatalf("ModelFromMapping of a model with no modes: err = %v, want ErrBadModelFormat", err)
 	}
 }

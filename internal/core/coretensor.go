@@ -27,9 +27,9 @@ const RotationDropTol = 1e-14
 // Entry e has multi-index Idx[e*N : (e+1)*N] and value Val[e]. Every core
 // the library builds keeps its entries in little-endian linear offset order
 // (mode 0 fastest): NewRandomCore and FromDense enumerate that order, the
-// sparse rotation emits it, and RemoveEntries preserves it. Each of them, and
-// the model decoder, also rebuilds the contraction kernel's per-mode index
-// (see contract.go); Clone copies it.
+// sparse rotation emits it, and RemoveEntries preserves it. Each of them,
+// Clone and the model decoder also build the contraction kernel's per-mode
+// index (see contract.go).
 type CoreTensor struct {
 	dims []int
 	idx  []int
@@ -95,24 +95,11 @@ func (c *CoreTensor) SetValue(e int, v float64) { c.val[e] = v }
 // Clone returns a deep copy.
 func (c *CoreTensor) Clone() *CoreTensor {
 	d := &CoreTensor{
-		dims:    append([]int(nil), c.dims...),
-		idx:     append([]int(nil), c.idx...),
-		val:     append([]float64(nil), c.val...),
-		modes:   make([]coreMode, len(c.modes)),
-		kronMax: c.kronMax,
+		dims: append([]int(nil), c.dims...),
+		idx:  append([]int(nil), c.idx...),
+		val:  append([]float64(nil), c.val...),
 	}
-	nnz := len(c.val)
-	slab := make([]int32, 2*len(c.modes)*nnz)
-	for n, m := range c.modes {
-		beta, off := slab[:nnz:nnz], slab[nnz:2*nnz:2*nnz]
-		slab = slab[2*nnz:]
-		copy(beta, m.beta)
-		d.modes[n] = coreMode{beta: beta, kron: m.kron}
-		if m.off != nil {
-			copy(off, m.off)
-			d.modes[n].off = off
-		}
-	}
+	d.index()
 	return d
 }
 

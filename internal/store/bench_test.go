@@ -82,8 +82,11 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 // TestBinaryLoadSpeedup pins the acceptance criterion that loading the
 // synthetic benchmark tensor from the binary snapshot is at least 5× faster
-// than the text loader. Each loader's time is its best of three alternating
-// rounds to damp scheduler noise; the real ratio is typically well above 10×.
+// than the text loader. Each load is timed by this process's CPU time (see
+// processCPU), so the test processes of other packages, which run in
+// parallel with this one, cannot slow one loader on a busy machine. Each
+// loader's time is its best of three alternating rounds to damp scheduler
+// noise; the real ratio is typically well above 10×.
 func TestBinaryLoadSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -107,11 +110,11 @@ func TestBinaryLoadSpeedup(t *testing.T) {
 	// loader's garbage off the other's clock.
 	timed := func(load func() error) time.Duration {
 		runtime.GC()
-		start := time.Now()
+		start := processCPU()
 		if err := load(); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		return processCPU() - start
 	}
 	textTime, binTime := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	for round := 0; round < 3; round++ {

@@ -44,6 +44,12 @@ go test -run '^$' -bench '^BenchmarkFoldIn$' -benchtime 5000x -count 3 ./interna
 # not gate them.
 go test -run '^$' -bench '^BenchmarkIteration(Plain|Cache|Approx)$' -benchtime 20x -count 3 -benchmem ./internal/core | tee -a "$out"
 go test -run '^$' -bench '^Benchmark(ErrorPass|PartialErrors)$' -benchtime 100x -count 3 -benchmem ./internal/core | tee -a "$out"
+# The contraction kernel behind δ, fold-in, predict, recommend and R(β), on
+# both of its sides: every mode of 1024 entries on a dense 5³ core
+# (Kronecker side) and on a 6,6,2,2 core kept to 14 entries (per-entry
+# side); ~1ms/op → ~0.1s windows. New to benchcmp until the baseline is
+# refreshed, so not gated.
+go test -run '^$' -bench '^BenchmarkContract$' -benchtime 100x -count 3 -benchmem ./internal/core | tee -a "$out"
 # Binary tensor snapshot load (~230µs/op → ~100ms windows).
 go test -run '^$' -bench '^BenchmarkBinaryRead$' -benchtime 500x -count 3 ./internal/store | tee -a "$out"
 # Model open, mmap vs heap, small vs 16x-larger file. The mmap rows=64k row

@@ -90,7 +90,6 @@ func mulSat(a, b, limit int) int {
 func (c *CoreTensor) contract(n int, rows [][]float64, kron, delta, terms []float64) {
 	m := &c.modes[n]
 	val := c.val
-	beta := m.beta[:len(val)]
 	if terms == nil {
 		delta = delta[:c.dims[n]]
 		clear(delta)
@@ -100,7 +99,7 @@ func (c *CoreTensor) contract(n int, rows [][]float64, kron, delta, terms []floa
 
 	if m.off != nil {
 		kron = c.kronecker(n, rows, kron)
-		off := m.off[:len(val)]
+		beta, off := m.beta[:len(val)], m.off[:len(val)]
 		if terms != nil {
 			r := rows[n]
 			for e, g := range val {
@@ -114,33 +113,32 @@ func (c *CoreTensor) contract(n int, rows [][]float64, kron, delta, terms []floa
 		return
 	}
 
+	// The per-entry side. An order-1 core with entries never takes it: its
+	// empty product, 1, never exceeds |G|.
+	order := len(c.dims)
+	lo := 0 // the lowest mode other than n
+	if n == 0 {
+		lo = 1
+	}
 	if terms != nil {
-		r := rows[n]
 		for e, g := range val {
-			terms[e] = g * c.rowProduct(n, e, rows) * r[beta[e]]
+			idx := c.idx[e*order : e*order+order]
+			terms[e] = g * rowProduct(rows, idx, n, lo) * rows[n][idx[n]]
 		}
 		return
 	}
 	for e, g := range val {
-		delta[beta[e]] += g * c.rowProduct(n, e, rows)
+		idx := c.idx[e*order : e*order+order]
+		delta[idx[n]] += g * rowProduct(rows, idx, n, lo)
 	}
 }
 
-// rowProduct is the per-entry side's product of the rows other than n at
-// entry e's coordinates, multiplied left to right in increasing mode order
-// like the Kronecker product (whose leading 1· is exact and left out).
-func (c *CoreTensor) rowProduct(n, e int, rows [][]float64) float64 {
-	order := len(c.dims)
-	idx := c.idx[e*order : e*order+order]
-	lo := 0
-	if n == 0 {
-		lo = 1
-	}
-	if lo == order {
-		return 1
-	}
+// rowProduct is the per-entry side's product of rows[k][idx[k]] over the
+// modes k ≠ n, multiplied left to right from lo, the lowest such mode, like
+// the Kronecker product (whose leading 1· is exact and left out).
+func rowProduct(rows [][]float64, idx []int, n, lo int) float64 {
 	p := rows[lo][idx[lo]]
-	for k := lo + 1; k < order; k++ {
+	for k := lo + 1; k < len(idx); k++ {
 		if k != n {
 			p *= rows[k][idx[k]]
 		}

@@ -149,13 +149,6 @@ func (c *CoreTensor) offsetSorted() bool {
 // list) are marked true in drop, compacting the list in place. It returns the
 // number of removed entries. The survivors keep their relative order.
 func (c *CoreTensor) RemoveEntries(drop []bool) int {
-	removed := c.compact(drop)
-	c.index()
-	return removed
-}
-
-// compact is RemoveEntries without the index rebuild.
-func (c *CoreTensor) compact(drop []bool) int {
 	n := len(c.dims)
 	w := 0
 	removed := 0
@@ -172,6 +165,7 @@ func (c *CoreTensor) compact(drop []bool) int {
 	}
 	c.idx = c.idx[:w*n]
 	c.val = c.val[:w]
+	c.index()
 	return removed
 }
 
@@ -288,7 +282,7 @@ func (c *CoreTensor) RotateAllSparse(rs []*mat.Dense, keep int, tol float64) {
 			}
 		}
 		if any {
-			c.compact(drop)
+			c.RemoveEntries(drop)
 		}
 	}
 
@@ -310,7 +304,7 @@ func (c *CoreTensor) RotateAllSparse(rs []*mat.Dense, keep int, tol float64) {
 		for _, e := range ord[keep:] {
 			drop[e] = true
 		}
-		c.compact(drop)
+		c.RemoveEntries(drop)
 	}
 	c.index()
 }

@@ -96,8 +96,8 @@ func Fig5(opt Options) (*Result, error) {
 // 0.033–0.052 and 0.11–0.13 s per iteration at orders 5–8 against Cache's
 // 0.0077–0.011, 0.022–0.034, 0.076–0.084 and 0.28–0.30 s, so plain is
 // faster at every order; without the kernel Cache was faster at every
-// order. The memory half stands: Cache holds 1.9–50 MB where plain holds
-// 11–434 KB.
+// order. The memory half stands: Cache holds 1.9–50 MiB where plain holds
+// 11–445 KiB.
 func Fig8(opt Options) (*Result, error) {
 	iDim, orders := 30, []int{5, 6, 7, 8}
 	if opt.Scale == synth.ScaleFull {

@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -131,7 +132,7 @@ func BenchmarkErrorPass(b *testing.B) {
 }
 
 // BenchmarkFoldIn tracks the online fold-in hot path: one row-wise
-// least-squares solve (O(nnz_i·J²·|G|)) plus the copy-on-write row append,
+// least-squares solve (O(nnz_i·J²·|G|)) plus the amortized O(J) row append,
 // per new entity admitted to a served model.
 func BenchmarkFoldIn(b *testing.B) {
 	x := benchTensor(b)
@@ -161,6 +162,48 @@ func BenchmarkFoldIn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFoldInPublish times what a server does per cold-start entity:
+// one FoldIn of 8 observations into mode 0, then the publish that follows
+// it, Snapshot plus NewPredictorShared. The model has serve-mixed's shape
+// (ranks 6,6,2,2; the other modes 8000, 16 and 24 rows) at two sizes of
+// mode 0. Publishing is O(rank), so ns/op and allocs/op should not grow
+// with the row count.
+//
+// ResumeFitter sizes A(0)'s array exactly, so the first fold-in after it
+// (as after a refit) copies the array once to make spare room. One untimed
+// fold-in pays that copy; otherwise it would read as O(I·J)/b.N per op.
+func BenchmarkFoldInPublish(b *testing.B) {
+	for _, rows := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			m := syntheticModel(b, 17, []int{rows, 8000, 16, 24}, []int{6, 6, 2, 2})
+			f, err := ResumeFitter(m, m.Config)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(19))
+			obs := make([]Observation, 8)
+			foldIn := func(row int) {
+				for j := range obs {
+					obs[j] = Observation{Index: []int{row, rng.Intn(8000), rng.Intn(16), rng.Intn(24)}, Value: rng.Float64()}
+				}
+				if _, err := f.FoldIn(0, obs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			foldIn(rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				foldIn(rows + 1 + i)
+				publishSink = NewPredictorShared(f.Snapshot())
+			}
+		})
+	}
+}
+
+// publishSink keeps BenchmarkFoldInPublish's predictors observable.
+var publishSink *Predictor
 
 // BenchmarkContract runs the contraction kernel for every mode of 1024 fixed
 // observed entries: on fit-plain's dense 5³ core (every mode on the

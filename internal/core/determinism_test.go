@@ -4,14 +4,16 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
 )
 
 // modelsBitIdentical reports whether two models have bit-for-bit equal
-// factors and cores (the numeric content the reproducibility guarantee
-// covers; Trace wall-clock times legitimately differ between runs).
+// factors and cores — every factor bit, and the core's dims, entry indices
+// and values (the numeric content the reproducibility guarantee covers;
+// Trace wall-clock times legitimately differ between runs).
 func modelsBitIdentical(a, b *Model) bool {
 	if len(a.Factors) != len(b.Factors) {
 		return false
@@ -27,7 +29,7 @@ func modelsBitIdentical(a, b *Model) bool {
 			}
 		}
 	}
-	if a.Core.NNZ() != b.Core.NNZ() {
+	if a.Core.NNZ() != b.Core.NNZ() || !slices.Equal(a.Core.Dims(), b.Core.Dims()) {
 		return false
 	}
 	for e := 0; e < a.Core.NNZ(); e++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/tensor"
@@ -51,8 +52,12 @@ var (
 //     produce, but the other rows are not re-fitted, so schedule a Refit
 //     once enough fold-ins or observations pile up.
 //
-// Snapshot returns an immutable deep-copied *Model at any point, which is
-// what predictors and the serving layer consume.
+// Snapshot returns an immutable *Model at any point, which is what
+// predictors and the serving layer consume. A snapshot is a view, not a deep
+// copy: each factor is the first rows of the fitter's array, and the core is
+// shared. It stays valid because the fitter never writes a row or a core
+// entry a view can see: FoldIn only appends rows past the end, and Refit
+// first moves the fitter onto private copies.
 //
 // Determinism: a Fitter is as reproducible as the one-shot API. Equal seed
 // and an equal sequence of operations (same Fit/Observe/FoldIn/Refit calls
@@ -61,11 +66,15 @@ var (
 //
 // A Fitter is not safe for concurrent use; callers that share one across
 // goroutines (e.g. a serving layer) must serialize access. Snapshots, once
-// returned, are immutable and freely shareable.
+// returned, are immutable and freely shareable, also while the fitter keeps
+// folding in and refitting.
 type Fitter struct {
-	cfg   Config // as supplied; normalized into st.cfg at init time
-	st    *state
-	model *Model // aliases st's live factors/core; deep-copied by Snapshot
+	cfg Config // as supplied; normalized into st.cfg at init time
+	st  *state
+	// model holds st's live factors and core (not copies of them) and the
+	// run statistics of the last fit or refit. Snapshot hands out views of
+	// it; FoldIn and Refit keep its factors and core pointing at st's.
+	model *Model
 }
 
 // NewFitter returns a Fitter that will cold-start from cfg (validated
@@ -75,9 +84,10 @@ func NewFitter(cfg Config) *Fitter { return &Fitter{cfg: cfg} }
 // ResumeFitter wraps an already-fitted model (e.g. one loaded from disk) in
 // a Fitter so it can absorb new observations without a from-scratch refit.
 // The model's factors and core are deep-copied — the source model is never
-// mutated. The fitter starts with an empty observation set: Refit fits over
-// whatever Observe/FoldIn have added since the resume, leaving rows with no
-// new observations at their served values.
+// mutated, and the fitter owns every array it appends to. The fitter starts
+// with an empty observation set: Refit fits over whatever Observe/FoldIn
+// have added since the resume, leaving rows with no new observations at
+// their served values.
 //
 // cfg.Ranks may be nil to adopt the model's ranks; when set they must match
 // the model's core dimensionalities. Fit-loop knobs (MaxIters, Tol, Lambda,
@@ -176,6 +186,11 @@ func (f *Fitter) Observe(delta []Observation) error {
 // whose set only holds what arrived since the resume). The refit model is
 // finalized (QR + core rotation) and returned as an immutable snapshot.
 //
+// Refit is the one operation that rewrites existing factor rows and the
+// core, so it first moves the fitter onto private copies of every factor
+// and the core: one model copy per refit, and no snapshot published before
+// it ever changes.
+//
 // On error (including ctx cancellation mid-sweep) the fitter's factors may
 // have absorbed a partial sweep; they remain a valid model — every completed
 // row update is an exact minimizer — and the previous snapshot is untouched.
@@ -190,6 +205,14 @@ func (f *Fitter) Refit(ctx context.Context, delta []Observation) (*Model, error)
 	if st.x.NNZ() == 0 {
 		return nil, ErrEmptyTensor
 	}
+
+	// Private copies, repointed in f.model too: a refit that fails part way
+	// leaves the fitter, and its next snapshot, on the partly refitted copies.
+	for k, a := range st.factors {
+		st.factors[k] = a.Clone()
+	}
+	st.core = st.core.Clone()
+	f.model.Factors, f.model.Core = st.factors, st.core
 
 	// Rebuild the structures FoldIn/Observe invalidated: the inverted index
 	// always (new entries), the Pres cache for P-Tucker-Cache (new entries
@@ -212,15 +235,18 @@ func (f *Fitter) Refit(ctx context.Context, delta []Observation) (*Model, error)
 }
 
 // FoldIn admits one brand-new row of the given mode — index Dim(mode), the
-// next unused slice — from its observations: it grows the factor matrix
-// A(mode) by one row (copy-on-write: previously returned snapshots keep the
-// old matrix) and solves Eq. 9 for that row exactly once against the current
-// factors and core, costing O(nnz_i·J²·|G|) instead of a full fit. The solved
-// row is bit-identical to what a cold-fit row update with all other factors
-// fixed would produce. obs indexes must carry the new row's index at mode and
-// existing coordinates elsewhere, and obs values must be finite; a rejected
-// call changes nothing. The observations join the training set for later
-// Refits. It returns the new row's index.
+// next unused slice — from its observations: it appends one row to the
+// factor matrix A(mode) and solves Eq. 9 for that row exactly once against
+// the current factors and core, costing O(nnz_i·J²·|G|) instead of a full
+// fit. The append grows A(mode)'s array the way append grows a slice, so it
+// moves O(J) memory amortized, and it writes nothing below the old row
+// count: previously returned snapshots, which view only those rows, stay
+// unchanged without any copy. The solved row is bit-identical to what a
+// cold-fit row update with all other factors fixed would produce. obs
+// indexes must carry the new row's index at mode and existing coordinates
+// elsewhere, and obs values must be finite; a rejected call changes nothing.
+// The observations join the training set for later Refits. It returns the
+// new row's index.
 //
 // Fold-in fixes every other factor row, so it is the right tool for serving
 // a cold-start entity immediately; accumulate enough fold-ins or new
@@ -273,11 +299,11 @@ func (f *Fitter) FoldIn(mode int, obs []Observation) (int, error) {
 		entries[i] = base + i
 	}
 
-	// Copy-on-write row append: the grown matrix is a fresh allocation, so
-	// any previously snapshotted model keeps the old one untouched.
+	// Append a zero row past every published view; when the array is full,
+	// append moves it to a larger one and the views keep the old one.
 	a := st.factors[mode]
-	grown := mat.NewDense(a.Rows()+1, a.Cols())
-	copy(grown.Data(), a.Data())
+	data := append(a.Data(), make([]float64, a.Cols())...)
+	grown := mat.NewDenseData(a.Rows()+1, a.Cols(), data)
 	st.factors[mode] = grown
 	f.model.Factors[mode] = grown
 
@@ -366,10 +392,14 @@ func (f *Fitter) TrainingSet() *tensor.Coord {
 	return f.st.x.Clone()
 }
 
-// Snapshot returns an immutable deep copy of the fitter's current model,
-// suitable for NewPredictor and the serving layer. Factors, core, config,
-// and run statistics are all copied; later Fit/Refit/FoldIn calls never
-// mutate a returned snapshot.
+// Snapshot returns the fitter's current model as an immutable view, in O(N)
+// time whatever the model's size, suitable for NewPredictorShared and the
+// serving layer. Each factor views the first Rows() rows of the fitter's
+// array, capped there so nothing can append through it, and the core is
+// shared; only the config's ranks and the run statistics are copied. Later
+// Fit/Refit/FoldIn calls never change a returned snapshot (see Fitter), and
+// callers must not write through one. A snapshot keeps alive the arrays it
+// views, spare capacity included, for as long as it is held.
 func (f *Fitter) Snapshot() *Model {
 	if f.model == nil {
 		return nil
@@ -377,11 +407,10 @@ func (f *Fitter) Snapshot() *Model {
 	m := f.model
 	factors := make([]*mat.Dense, len(m.Factors))
 	for k, a := range m.Factors {
-		factors[k] = a.Clone()
+		factors[k] = mat.NewDenseData(a.Rows(), a.Cols(), slices.Clip(a.Data()))
 	}
 	c := *m
 	c.Factors = factors
-	c.Core = m.Core.Clone()
 	c.Config.Ranks = append([]int(nil), m.Config.Ranks...)
 	c.Trace = append([]IterStats(nil), m.Trace...)
 	c.WorkPerThread = append([]int64(nil), m.WorkPerThread...)

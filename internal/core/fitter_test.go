@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mat"
@@ -113,42 +116,243 @@ func TestFoldInMatchesColdFitRowUpdate(t *testing.T) {
 	}
 }
 
-// TestFoldInCopyOnWrite: snapshots taken before a fold-in keep the old
-// shape and bits; the fold grows only the fitter's own state.
+// cloneModel deep-copies m's factors and core, the reference a published
+// snapshot is checked against.
+func cloneModel(m *Model) *Model {
+	c := *m
+	c.Factors = make([]*mat.Dense, len(m.Factors))
+	for k, a := range m.Factors {
+		c.Factors[k] = a.Clone()
+	}
+	c.Core = m.Core.Clone()
+	return &c
+}
+
+// TestFoldInCopyOnWrite: a published snapshot never changes. Snapshots taken
+// before a fold-in, between two fold-ins and just before a refit keep every
+// factor bit and every core entry (dims, indices, values) through a second
+// fold-in, the refit and a fold-in after it, while the fitter's own state
+// grows. P-Tucker-Approx adds the refit's in-place truncation of the core.
 func TestFoldInCopyOnWrite(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	x := plantedTensor(rng, []int{12, 10, 8}, []int{3, 3, 2}, 500, 0.05)
+	for _, method := range []Method{PTucker, PTuckerApprox} {
+		rng := rand.New(rand.NewSource(31))
+		x := plantedTensor(rng, []int{12, 10, 8}, []int{3, 3, 2}, 500, 0.05)
+		cfg := smallConfig([]int{3, 3, 2})
+		cfg.Method = method
+		cfg.TruncationRate = 0.1
+		f := NewFitter(cfg)
+		if _, err := f.Fit(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+
+		type published struct {
+			name       string
+			snap, want *Model
+		}
+		var pubs []published
+		publish := func(name string) *Model {
+			s := f.Snapshot()
+			pubs = append(pubs, published{name, s, cloneModel(s)})
+			return s
+		}
+		unchanged := func(after string) {
+			t.Helper()
+			for _, p := range pubs {
+				if !modelsBitIdentical(p.snap, p.want) {
+					t.Fatalf("%v: snapshot taken %s changed after %s", method, p.name, after)
+				}
+			}
+		}
+		foldIn := func() {
+			t.Helper()
+			obs := make([]Observation, 5)
+			for i := range obs {
+				obs[i] = Observation{Index: []int{f.Dims()[0], rng.Intn(10), rng.Intn(8)}, Value: rng.Float64()}
+			}
+			if _, err := f.FoldIn(0, obs); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		before := publish("before a fold-in")
+		foldIn()
+		after := publish("between two fold-ins")
+		foldIn()
+		unchanged("the second fold-in")
+		publish("just before a refit")
+		delta := []Observation{{Index: []int{0, 1, 2}, Value: 0.25}, {Index: []int{13, 4, 5}, Value: 0.75}}
+		if _, err := f.Refit(context.Background(), delta); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("the refit")
+		foldIn()
+		unchanged("a fold-in after the refit")
+
+		if before.Factors[0].Rows() != 12 || after.Factors[0].Rows() != 13 {
+			t.Fatalf("%v: snapshots have %d and %d rows, want 12 and 13", method, before.Factors[0].Rows(), after.Factors[0].Rows())
+		}
+		if got := f.Dims(); got[0] != 15 {
+			t.Fatalf("%v: fitter dims = %v, want mode 0 grown to 15", method, got)
+		}
+		// The grown model predicts for the new row without panicking.
+		if _, err := NewPredictor(after).PredictChecked([]int{12, 0, 0}); err != nil {
+			t.Fatalf("%v: prediction on folded row: %v", method, err)
+		}
+	}
+}
+
+// TestSnapshotStableUnderConcurrentFitting runs Predict and TopK on a
+// published snapshot from four goroutines while the fitter folds in 200
+// rows and refits twice. Every answer must equal, bit for bit, the same
+// call on a deep copy taken at publish time. The snapshot is published
+// after a few fold-ins, so its factor 0 shares an array that has spare
+// capacity with the fitter, and the later fold-ins write just past its end;
+// under -race a write inside the view is reported.
+func TestSnapshotStableUnderConcurrentFitting(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	x := plantedTensor(rng, []int{20, 12, 8}, []int{3, 3, 2}, 600, 0.05)
 	cfg := smallConfig([]int{3, 3, 2})
+	cfg.Method = PTuckerApprox
+	cfg.TruncationRate = 0.1
+	cfg.MaxIters = 2
 	f := NewFitter(cfg)
 	if _, err := f.Fit(context.Background(), x); err != nil {
 		t.Fatal(err)
 	}
-	before := f.Snapshot()
-	beforeBits := append([]float64(nil), before.Factors[0].Data()...)
-
-	if _, err := f.FoldIn(0, foldInObs(x, rng, 5)); err != nil {
-		t.Fatal(err)
-	}
-	after := f.Snapshot()
-
-	if before.Factors[0].Rows() != 12 {
-		t.Fatalf("pre-fold snapshot grew to %d rows", before.Factors[0].Rows())
-	}
-	for i, v := range before.Factors[0].Data() {
-		if math.Float64bits(v) != math.Float64bits(beforeBits[i]) {
-			t.Fatalf("pre-fold snapshot mutated at %d", i)
+	foldIn := func() {
+		obs := make([]Observation, 4)
+		for i := range obs {
+			obs[i] = Observation{Index: []int{f.Dims()[0], rng.Intn(12), rng.Intn(8)}, Value: rng.Float64()}
+		}
+		if _, err := f.FoldIn(0, obs); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if after.Factors[0].Rows() != 13 {
-		t.Fatalf("post-fold snapshot has %d rows, want 13", after.Factors[0].Rows())
+	for i := 0; i < 3; i++ {
+		foldIn()
 	}
-	if got := f.Dims(); got[0] != 13 {
-		t.Fatalf("fitter dims = %v, want mode 0 grown to 13", got)
+
+	snap := f.Snapshot()
+	if a := f.st.factors[0].Data(); cap(a) == len(a) {
+		t.Fatal("factor 0 has no spare capacity: later fold-ins would not write next to the view")
 	}
-	// The grown model predicts for the new row without panicking.
-	p := NewPredictor(after)
-	if _, err := p.PredictChecked([]int{12, 0, 0}); err != nil {
-		t.Fatalf("prediction on folded row: %v", err)
+	copied := cloneModel(snap)
+	live, ref := NewPredictorShared(snap), NewPredictor(copied)
+	cells := make([][]int, 64)
+	want := make([]float64, len(cells))
+	for i := range cells {
+		cells[i] = []int{rng.Intn(23), rng.Intn(12), rng.Intn(8)}
+		want[i] = ref.Predict(cells[i])
+	}
+	wantTop := make([][]Rec, 3)
+	for mode := range wantTop {
+		recs, err := ref.Recommender().TopK(cells[mode], mode, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTop[mode] = recs
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan string, 4) // one per reader, which sends once and stops
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := live.Recommender()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, c := range cells {
+					if got := live.Predict(c); math.Float64bits(got) != math.Float64bits(want[i]) {
+						errs <- fmt.Sprintf("Predict(%v) = %v, want %v", c, got, want[i])
+						return
+					}
+				}
+				for mode, w := range wantTop {
+					recs, err := rec.TopK(cells[mode], mode, 5)
+					if err != nil || !slices.Equal(recs, w) {
+						errs <- fmt.Sprintf("TopK mode %d = %v (%v), want %v", mode, recs, err, w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		foldIn()
+		if i == 99 || i == 199 {
+			if _, err := f.Refit(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	halt()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	if !modelsBitIdentical(snap, copied) || snap.Factors[0].Rows() != 23 {
+		t.Fatal("the published snapshot changed")
+	}
+}
+
+// TestFailedRefitKeepsFitterConsistent: a P-Tucker-Approx refit that fails
+// after its first iteration has already truncated the core. The fitter must
+// then fold in against exactly the model its next snapshot serves: the
+// folded row equals, bit for bit, the same fold-in on a fitter resumed from
+// that snapshot.
+func TestFailedRefitKeepsFitterConsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	x := plantedTensor(rng, []int{14, 12, 8}, []int{3, 3, 2}, 700, 0.05)
+	cfg := smallConfig([]int{3, 3, 2})
+	cfg.Method = PTuckerApprox
+	cfg.TruncationRate = 0.2
+	fail := errors.New("refit stopped")
+	failing := false
+	cfg.OnIteration = func(IterStats) error {
+		if failing {
+			return fail
+		}
+		return nil
+	}
+	f := NewFitter(cfg)
+	if _, err := f.Fit(context.Background(), x); err != nil {
+		t.Fatal(err)
+	}
+	coreBefore := f.Snapshot().Core.NNZ()
+
+	failing = true
+	if _, err := f.Refit(context.Background(), nil); !errors.Is(err, fail) {
+		t.Fatalf("Refit: err = %v, want the OnIteration error", err)
+	}
+	failing = false
+	if n := f.st.core.NNZ(); n >= coreBefore {
+		t.Fatalf("the failed refit left the fitter's |G| at %d (was %d): truncation did not run", n, coreBefore)
+	}
+	snap := f.Snapshot()
+
+	obs := foldInObs(x, rng, 6)
+	resumed, err := ResumeFitter(snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Fitter{f, resumed} {
+		if _, err := g.FoldIn(0, obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := f.Snapshot().Factors[0].Row(14), resumed.Snapshot().Factors[0].Row(14)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("row folded after a failed refit differs from the resumed snapshot's at %d: %v vs %v", j, got[j], want[j])
+		}
 	}
 }
 

@@ -87,9 +87,12 @@ func NewPredictor(m *Model) *Predictor {
 // heap and defeat the mapping. The predictor never writes through the model
 // (Predict/TopK only read factor rows and core entries), but the caller must
 // guarantee nothing else mutates the model while the predictor lives. The
-// serve layer satisfies this by construction: online fitting always resumes
-// from a clone (ResumeFitter, Fitter.Snapshot), never the served model.
-// Predictions are bit-identical to NewPredictor on the same model.
+// models the serve layer shares satisfy this by construction. A loaded model
+// is only ever resumed through a deep copy (ResumeFitter). A Fitter.Snapshot
+// views the fitter's live arrays, and the fitter never changes a row below a
+// published view in place: fold-ins append past its end, and a refit first
+// moves the fitter onto private copies. Predictions are bit-identical to
+// NewPredictor on the same model.
 func NewPredictorShared(m *Model) *Predictor {
 	order := len(m.Factors)
 	factors := make([]*mat.Dense, order)

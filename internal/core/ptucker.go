@@ -95,8 +95,9 @@ func newState(x *tensor.Coord, cfg Config) *state {
 }
 
 // newModel wraps the state's live factors and core in a Model. The model
-// aliases the state: further sweeps mutate it in place (Fitter.Snapshot deep
-// copies when immutability is needed).
+// aliases the state: further sweeps mutate it in place (Fitter.Refit moves
+// the state onto private copies first, so the views Fitter.Snapshot hands
+// out never change).
 //
 // The echoed Config drops the OnIteration hook and the SparsifyHoldout
 // tensor: both are fit-time inputs, not data (they are likewise excluded

@@ -152,7 +152,8 @@ func DecomposeContext(ctx context.Context, x *Tensor, cfg Config) (*Model, error
 // union of old and new observations — reaches the cold-fit error in a
 // fraction of the iterations), FoldIn (admit one brand-new row, e.g. a
 // cold-start user, by solving its row-wise least-squares problem once in
-// O(nnz_i·J²·|G|)), and Snapshot (immutable *Model for predictors).
+// O(nnz_i·J²·|G|)), and Snapshot (an immutable *Model for predictors, an
+// O(1) view of the fitter's arrays rather than a copy).
 //
 // Rule of thumb: FoldIn when a new entity must be servable immediately —
 // its row is exactly what a cold fit with the other factors fixed would

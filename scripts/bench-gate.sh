@@ -34,6 +34,12 @@ go test -run '^$' -bench '^BenchmarkRecommend(Sparse)?$' -benchtime 20000x -coun
 go test -run '^$' -bench '^BenchmarkPredictBatch(Serial)?$' -benchtime 100x -count 3 . | tee -a "$out"
 # Online fold-in, Eq. 9 single-row solve (~12µs/op → ~60ms windows).
 go test -run '^$' -bench '^BenchmarkFoldIn$' -benchtime 5000x -count 3 ./internal/core | tee -a "$out"
+# Fold-in plus the publish a server does after it (Snapshot and
+# NewPredictorShared) on a 6,6,2,2 model whose mode 0 has 4096 or 65536
+# rows. Publishing is O(rank): both sizes should read the same ns/op and
+# allocs/op (~5µs/op → ~100ms windows). New to benchcmp until the baseline
+# is refreshed, so not gated.
+go test -run '^$' -bench '^BenchmarkFoldInPublish$' -benchtime 20000x -count 3 -benchmem ./internal/core | tee -a "$out"
 # Fit path, the paper's contribution: one cold ALS iteration of P-Tucker,
 # P-Tucker-Cache and P-Tucker-Approx (init, Eq. 9 row updates, error,
 # truncation, finalize; ~15-20ms/op → ~0.3-0.4s windows), the exact Eq. 5
